@@ -7,10 +7,8 @@
 //! its crossover far to the left of the x86 systems', which is the core
 //! mechanism behind the paper's HPCG/Nekbone results.
 
-use serde::{Deserialize, Serialize};
-
 /// An achievable-performance envelope: flop ceiling + bandwidth ceiling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Achievable flop rate in GFLOP/s for the resource set.
     pub gflops: f64,
@@ -19,7 +17,7 @@ pub struct Roofline {
 }
 
 /// A point on (or under) the roofline: a kernel with measured work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflinePoint {
     /// Floating-point operations performed.
     pub flops: f64,

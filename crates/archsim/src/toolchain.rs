@@ -13,10 +13,8 @@
 //!    only on the A64FX does the extra instruction-level parallelism convert
 //!    into flops not already blocked on memory.
 
-use serde::{Deserialize, Serialize};
-
 /// Compiler family used on a system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ToolchainFamily {
     /// Fujitsu compiler (A64FX), `-Kfast -KSVE ...`.
     Fujitsu,
@@ -44,7 +42,7 @@ impl ToolchainFamily {
 }
 
 /// The modelled effect of a compiler flag set on kernel throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlagEffect {
     /// Multiplier on achievable flop rate for compute-bound vectorisable
     /// kernels when fast-math-style flags are enabled (e.g. `-Kfast`).
@@ -59,7 +57,7 @@ pub struct FlagEffect {
 /// A toolchain as configured for one benchmark on one system: family,
 /// version string and flags (verbatim from Table II), plus the modelled
 /// throughput effects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Toolchain {
     /// Compiler family.
     pub family: ToolchainFamily,

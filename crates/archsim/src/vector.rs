@@ -5,10 +5,8 @@
 //! for fused multiply-add capable units and 1 otherwise. This reproduces the
 //! "Maximum node DP GFLOP/s" row of Table I in the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-core SIMD/vector execution unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VectorUnit {
     /// Vector register width in bits (Table I "Vector width").
     pub width_bits: u32,

@@ -1,9 +1,7 @@
-//! `bench_json` — machine-readable kernel and repro-suite timings, no
-//! criterion.
+//! `bench_json` — machine-readable kernel and repro-suite timings.
 //!
-//! Times the shared-memory kernel runtime three ways — serial, the old
-//! spawn-a-thread-scope-per-call team, and the persistent kernel pool — on
-//! the paper-shaped kernels (CSR SpMV, SELL-C-σ SpMV, multicolour SymGS,
+//! Times the shared-memory kernel runtime two ways — serial and the
+//! persistent kernel pool — on the paper-shaped kernels (CSR SpMV, SELL-C-σ SpMV, multicolour SymGS,
 //! dot, AXPY, and a full CG solve on the 48³ 27-point stencil), plus every
 //! data-level-optimised kernel against its naive reference (register-tiled
 //! GEMM, the packed Nekbone batch, tiled tensor contractions, the
@@ -45,9 +43,8 @@
 //! around the kernel. Every file opens with a `"config"` header (git
 //! revision, DES backend, pricing backend, worker threads) so `obsctl
 //! diff` can refuse comparisons across mismatched configurations, and
-//! records `available_parallelism` so readers can judge the numbers: on a single-core host the pooled kernels cannot
-//! beat serial — what the pool still demonstrates there is the amortised
-//! spawn overhead against the spawn-per-call team. The kernel file also
+//! records `available_parallelism` so readers can judge the numbers: on a
+//! single-core host the pooled kernels cannot beat serial. The kernel file also
 //! records the team's `serial_cutover_ops` — kernels below it run inline
 //! (the small-kernel regression fix), so their pooled and serial columns
 //! should read within noise of each other.
@@ -55,7 +52,7 @@
 use sparsela::coloring::Coloring;
 use sparsela::ell::SellMatrix;
 use sparsela::gen::stencil27;
-use sparsela::parallel::{SpawnTeam, Team};
+use sparsela::parallel::Team;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -120,22 +117,19 @@ fn roofline_json(work: densela::Work, best_s: f64) -> String {
 struct Row {
     name: &'static str,
     serial_s: f64,
-    spawn_s: f64,
     pooled_s: f64,
     work: densela::Work,
 }
 
 impl Row {
     fn json(&self) -> String {
-        let best = self.serial_s.min(self.spawn_s).min(self.pooled_s);
+        let best = self.serial_s.min(self.pooled_s);
         format!(
-            "    {{\"name\": \"{}\", \"serial_s\": {:.6e}, \"spawn_s\": {:.6e}, \"pooled_s\": {:.6e}, \"pooled_vs_serial\": {:.3}, \"pooled_vs_spawn\": {:.3}, {}}}",
+            "    {{\"name\": \"{}\", \"serial_s\": {:.6e}, \"pooled_s\": {:.6e}, \"pooled_vs_serial\": {:.3}, {}}}",
             self.name,
             self.serial_s,
-            self.spawn_s,
             self.pooled_s,
             self.serial_s / self.pooled_s,
-            self.spawn_s / self.pooled_s,
             roofline_json(self.work, best),
         )
     }
@@ -184,13 +178,19 @@ fn bench_repro(path: &str) {
     use a64fx_core::{campaign, runner, tracecache};
     use simmpi::collcache;
 
-    let threads = runner::resolve_threads(None);
+    let threads = a64fx_bench::config::threads();
     eprintln!("timing full repro suite ({threads} worker threads)...");
     let trace0 = tracecache::stats();
     let coll0 = collcache::stats();
     let camp0 = campaign::stats();
     let t0 = Instant::now();
-    let outcomes = runner::run_all_isolated(threads, runner::resolve_deadline(None));
+    let deadline = runner::resolve(
+        None,
+        "A64FX_DEADLINE_SECS",
+        |raw| runner::parse_deadline_secs(raw).map(std::time::Duration::from_secs),
+        || runner::DEFAULT_DEADLINE,
+    );
+    let outcomes = runner::run_all_isolated(threads, deadline);
     let wall_s = t0.elapsed().as_secs_f64();
     let trace1 = tracecache::stats();
     let coll1 = collcache::stats();
@@ -311,7 +311,7 @@ fn bench_des(path: &str) {
     }
     let json = format!(
         "{{\n  \"config\": {cfg},\n  \"bytes\": {DES_BYTES},\n  \"available_parallelism\": {ap},\n  \"runs\": [\n{rows}\n  ]\n}}\n",
-        cfg = a64fx_bench::config::header_json(a64fx_core::runner::resolve_threads(None)),
+        cfg = a64fx_bench::config::header_json(a64fx_bench::config::threads()),
         ap = densela::pool::available_parallelism(),
         rows = entries.join(",\n"),
     );
@@ -417,7 +417,7 @@ fn bench_ecm(path: &str) {
     }
     let json = format!(
         "{{\n  \"config\": {cfg},\n  \"system\": \"A64FX\",\n  \"threads_per_rank\": {threads},\n  \"peak_gflops\": {peak_gflops:.2},\n  \"kernels\": [\n{rows}\n  ]\n}}\n",
-        cfg = a64fx_bench::config::header_json(a64fx_core::runner::resolve_threads(None)),
+        cfg = a64fx_bench::config::header_json(a64fx_bench::config::threads()),
         rows = entries.join(",\n"),
     );
     std::fs::write(path, &json).expect("writing the ECM benchmark file failed");
@@ -473,14 +473,12 @@ fn main() {
     let mut y = vec![0.0; n];
 
     let team = Team::new(THREADS);
-    let spawn = SpawnTeam::new(THREADS);
     let serial_team = Team::new(1);
 
     // Warm the matrix, vectors, and pool before any timed region so the
     // first-timed variant doesn't pay the page-fault bill.
     a.spmv(&x, &mut y);
     team.spmv(&a, &x, &mut y);
-    spawn.spmv(&a, &x, &mut y);
 
     eprintln!("timing kernels ({THREADS} threads)...");
     let mut rows = Vec::new();
@@ -488,7 +486,6 @@ fn main() {
     rows.push(Row {
         name: "spmv_csr",
         serial_s: time(VEC_REPS, || a.spmv(&x, &mut y)),
-        spawn_s: time(VEC_REPS, || spawn.spmv(&a, &x, &mut y)),
         pooled_s: time(VEC_REPS, || team.spmv(&a, &x, &mut y)),
         work: a.spmv_work(),
     });
@@ -504,8 +501,6 @@ fn main() {
     rows.push(Row {
         name: "spmv_sell8",
         serial_s: time(VEC_REPS, || sell.spmv(&x, &mut y)),
-        // SpawnTeam has no SELL path; the honest baseline is serial SELL.
-        spawn_s: time(VEC_REPS, || sell.spmv(&x, &mut y)),
         pooled_s: time(VEC_REPS, || team.sell_spmv(&sell, &x, &mut y)),
         work: sell.spmv_work(),
     });
@@ -518,9 +513,6 @@ fn main() {
             serial_s: time(VEC_REPS, || {
                 sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut xs)
             }),
-            spawn_s: time(VEC_REPS, || {
-                sparsela::coloring::mc_symgs_sweep(&a, &coloring, &b, &mut xs)
-            }),
             pooled_s: time(VEC_REPS, || team.mc_symgs_sweep(&a, &coloring, &b, &mut xp)),
             work: symgs_work,
         });
@@ -528,7 +520,6 @@ fn main() {
     rows.push(Row {
         name: "dot",
         serial_s: time(VEC_REPS, || densela::vecops::dot(&x, &b)),
-        spawn_s: time(VEC_REPS, || spawn.dot(&x, &b)),
         pooled_s: time(VEC_REPS, || team.dot(&x, &b)),
         work: densela::vecops::dot(&x, &b).1,
     });
@@ -538,7 +529,6 @@ fn main() {
         rows.push(Row {
             name: "axpy",
             serial_s: time(VEC_REPS, || densela::vecops::axpy(1.0001, &x, &mut acc)),
-            spawn_s: time(VEC_REPS, || spawn.axpy(1.0001, &x, &mut acc)),
             pooled_s: time(VEC_REPS, || team.axpy(1.0001, &x, &mut acc)),
             work: axpy_work,
         });
@@ -555,10 +545,6 @@ fn main() {
             let mut x0 = vec![0.0; n];
             serial_team.cg_solve(&a, &b, &mut x0, CG_ITERS, 0.0)
         }),
-        spawn_s: time(CG_REPS, || {
-            let mut x0 = vec![0.0; n];
-            spawn.cg_solve(&a, &b, &mut x0, CG_ITERS, 0.0)
-        }),
         pooled_s: time(CG_REPS, || {
             let mut x0 = vec![0.0; n];
             team.cg_solve(&a, &b, &mut x0, CG_ITERS, 0.0)
@@ -567,8 +553,7 @@ fn main() {
     };
 
     // A strong-scaling-limit CG: per-rank grids shrink as jobs scale out,
-    // and at small per-rank sizes the spawn-per-call overhead dominates —
-    // the regime the persistent pool exists for.
+    // and at small per-rank sizes dispatch overhead dominates.
     let a_small = stencil27(16, 16, 16);
     let ns = a_small.rows();
     let bs: Vec<f64> = (0..ns).map(|i| (i as f64 * 0.017).cos()).collect();
@@ -587,10 +572,6 @@ fn main() {
         serial_s: time(VEC_REPS, || {
             let mut x0 = vec![0.0; ns];
             serial_team.cg_solve(&a_small, &bs, &mut x0, CG_ITERS, 0.0)
-        }),
-        spawn_s: time(VEC_REPS, || {
-            let mut x0 = vec![0.0; ns];
-            spawn.cg_solve(&a_small, &bs, &mut x0, CG_ITERS, 0.0)
         }),
         pooled_s: time(VEC_REPS, || {
             let mut x0 = vec![0.0; ns];

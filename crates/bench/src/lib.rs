@@ -1,29 +1,17 @@
-//! # a64fx-bench — the benchmark harness
+//! # a64fx-bench — benchmark files and the perf gate
 //!
-//! Criterion benches regenerating every table and figure of the paper, plus
-//! microbenchmarks of the real numerical substrates and the ablation
-//! sweeps. Run with `cargo bench --workspace`; regenerate the tables
+//! Two binaries: `bench_json` times the real kernels, the full `repro`
+//! run, the DES engines and the pricing backends and writes the
+//! `BENCH_*.json` files; `obsctl` diffs them (CI's perf gate), attributes
+//! Chrome traces and re-exports metrics snapshots. Regenerate the tables
 //! themselves with the `repro` binary (`cargo run -p a64fx-core --bin repro
 //! -- --all`).
 //!
-//! * `benches/paper_tables.rs` — one bench per paper artefact (T1, T3, T4,
-//!   T5, F1, F2, T6, F3, T7, T8, F4, F5, T9, T10), each timing the
-//!   simulation that regenerates it.
-//! * `benches/kernels.rs` — the real kernels underneath: SpMV, SymGS,
-//!   multigrid V-cycles, spectral-element `ax`, 3-D FFTs, CG iterations,
-//!   and a compressible TGV time step.
-//! * `benches/ablations.rs` — the design-choice sweeps of
-//!   `a64fx_core::ablations`.
-//!
-//! The crate also hosts the regression-gate machinery behind the `obsctl`
-//! binary: [`config`] stamps every `BENCH_*.json` with the run
-//! configuration (git revision, DES backend, pricing backend, worker
-//! threads) so comparisons across mismatched setups can be refused, and
-//! [`obsdiff`] is the deterministic comparator CI runs as a perf gate.
-
-/// The criterion sample size used across the harness: the simulations being
-/// timed are deterministic, so a small sample suffices.
-pub const SAMPLE_SIZE: usize = 10;
+//! This library is the gate machinery: [`config`] stamps every
+//! `BENCH_*.json` with the run configuration (git revision, DES backend,
+//! pricing backend, worker threads) so comparisons across mismatched setups
+//! can be refused, and [`obsdiff`] is the deterministic comparator CI runs
+//! as a perf gate. JSON is read with `obs::json`.
 
 pub mod config {
     //! The run-configuration header every `BENCH_*.json` carries.
@@ -35,6 +23,8 @@ pub mod config {
     //! refuses comparisons whose configs disagree (the git SHA and host
     //! parallelism are recorded for provenance but excluded from the
     //! match — comparing across revisions is the whole point of a gate).
+
+    use a64fx_core::runner;
 
     /// The git revision of the working tree, via `git rev-parse HEAD`.
     /// Falls back to `"unknown"` outside a git checkout (e.g. a source
@@ -60,12 +50,30 @@ pub mod config {
     /// tiling measure different inner loops, so `obsctl diff` refuses
     /// differently-tiled baselines like any other config mismatch.
     pub fn header_json(threads: usize) -> String {
+        use a64fx_core::costmodel::PricingBackend;
+        use netsim::DesBackend;
         format!(
             "{{\"git_sha\": \"{}\", \"des_backend\": \"{}\", \"pricing\": \"{}\", \"tiling\": \"{}\", \"threads\": {threads}}}",
             git_sha(),
-            a64fx_core::runner::resolve_des_backend(None),
-            a64fx_core::runner::resolve_pricing(None),
+            runner::resolve(None, "A64FX_DES_BACKEND", DesBackend::parse, || {
+                DesBackend::Serial
+            }),
+            runner::resolve(None, "A64FX_PRICING", PricingBackend::parse, || {
+                PricingBackend::Flat
+            }),
             densela::block::tiling_id(),
+        )
+    }
+
+    /// The experiment runner's worker count, resolved as `repro` resolves
+    /// it without a `--threads` flag: `A64FX_REPRO_THREADS`, then
+    /// `available_parallelism`.
+    pub fn threads() -> usize {
+        runner::resolve(
+            None,
+            "A64FX_REPRO_THREADS",
+            runner::parse_threads,
+            densela::pool::available_parallelism,
         )
     }
 
@@ -75,7 +83,7 @@ pub mod config {
 
         #[test]
         fn header_is_valid_json_with_the_five_keys() {
-            let doc = conform::json::parse(&header_json(3)).unwrap();
+            let doc = obs::json::parse(&header_json(3)).unwrap();
             for key in ["git_sha", "des_backend", "pricing", "tiling"] {
                 assert!(doc.get(key).and_then(|v| v.as_str()).is_some(), "{key}");
             }
@@ -120,7 +128,7 @@ pub mod obsdiff {
 
     use std::collections::BTreeMap;
 
-    use conform::json::Value;
+    use obs::json::Value;
 
     /// Default relative threshold, percent: moves within ±25% are noise on
     /// shared CI hosts.
@@ -378,7 +386,7 @@ pub mod obsdiff {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use conform::json::parse;
+        use obs::json::parse;
 
         fn doc(wall: f64, speedup: f64, events: u64, threads: u64) -> Value {
             parse(&format!(

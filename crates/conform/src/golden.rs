@@ -350,6 +350,22 @@ mod tests {
         assert_eq!(nums, vec![7.0]);
     }
 
+    #[test]
+    fn round_trips_core_table_json() {
+        let mut t = Table::new("T9", "demo — dash", &["sys", "val"]);
+        t.push_row(vec!["A64FX".into(), "38.26 / 36.90 (0.96x)".into()]);
+        t.note("a \"quoted\" note");
+        let v = json::parse(&t.to_json(&[("tolerances", "[0, 0.02]".into())])).unwrap();
+        assert_eq!(v.get("id").unwrap().as_str(), Some("T9"));
+        assert_eq!(v.get("title").unwrap().as_str(), Some("demo — dash"));
+        assert_eq!(
+            v.get("notes").unwrap().as_str_vec().unwrap(),
+            vec!["a \"quoted\" note"]
+        );
+        let tols = v.get("tolerances").unwrap().as_arr().unwrap();
+        assert_eq!(tols[1].as_f64(), Some(0.02));
+    }
+
     fn demo_table() -> Table {
         let mut t = Table::new("T3", "demo", &["System", "GFLOP/s"]);
         t.push_row(vec!["A64FX".into(), "38.26 / 36.90 (0.96x)".into()]);

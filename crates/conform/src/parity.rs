@@ -1,5 +1,5 @@
-//! Kernel parity at scale: serial vs spawn-per-call vs persistent-pool
-//! execution at forced thread counts.
+//! Kernel parity at scale: serial vs persistent-pool execution at forced
+//! thread counts.
 //!
 //! The kernel runtime promises that row-partitioned kernels (CSR SpMV,
 //! SELL-C-σ SpMV, multicolour SymGS, AXPY) are **bit-identical** to their
@@ -14,7 +14,7 @@ use a64fx_core::Table;
 use sparsela::coloring::{mc_symgs_sweep, Coloring};
 use sparsela::ell::SellMatrix;
 use sparsela::gen::stencil27;
-use sparsela::{cg_solve, CsrMatrix, SpawnTeam, Team};
+use sparsela::{cg_solve, CsrMatrix, Team};
 
 /// Thread counts exercised — configured counts, not host parallelism.
 pub const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
@@ -78,7 +78,7 @@ pub fn run() -> (Table, Vec<String>) {
     let mut chk = Checker {
         table: Table::new(
             "PARITY",
-            "Kernel parity: serial vs SpawnTeam vs pooled Team at configured thread counts",
+            "Kernel parity: serial vs pooled Team at configured thread counts",
             &["Check", "Threads", "Result"],
         ),
         failures: Vec::new(),
@@ -103,7 +103,6 @@ pub fn run() -> (Table, Vec<String>) {
         // small-kernel serial cutover, and the promises under test are the
         // pooled paths' — which serial fallback would vacuously satisfy.
         let team = Team::with_serial_cutover(t, 0);
-        let spawn = SpawnTeam::new(t);
         if !team.would_parallelize(n) {
             chk.record(
                 "problem size takes the parallel path",
@@ -113,7 +112,7 @@ pub fn run() -> (Table, Vec<String>) {
             continue;
         }
 
-        // CSR SpMV: both parallel paths bit-identical to serial.
+        // CSR SpMV bit-identical to serial.
         let mut y = vec![0.0; n];
         let before = team.pool().dispatches();
         team.spmv(&a, &x, &mut y);
@@ -121,13 +120,6 @@ pub fn run() -> (Table, Vec<String>) {
             "CSR SpMV pooled == serial (bitwise)",
             t,
             bitwise_eq(&y_serial, &y).map(|()| "bit-identical".into()),
-        );
-        let mut y2 = vec![0.0; n];
-        spawn.spmv(&a, &x, &mut y2);
-        chk.record(
-            "CSR SpMV spawn-per-call == serial (bitwise)",
-            t,
-            bitwise_eq(&y_serial, &y2).map(|()| "bit-identical".into()),
         );
 
         // SELL-C-sigma SpMV bit-identical to its serial kernel.
@@ -227,17 +219,6 @@ pub fn run() -> (Table, Vec<String>) {
                     "rel {rel1:e}, {it1} iters vs serial {} ({})",
                     serial_cg.iterations, serial_cg.rel_residual
                 ))
-            },
-        );
-        let mut x3 = vec![0.0; n];
-        let (it3, rel3, _) = spawn.cg_solve(&a, &b, &mut x3, CG_MAX_ITER, CG_RTOL);
-        chk.record(
-            "spawn-per-call CG converges like serial",
-            t,
-            if rel3 <= CG_RTOL && it3.abs_diff(serial_cg.iterations) <= 3 {
-                Ok(format!("{it3} iters"))
-            } else {
-                Err(format!("rel {rel3:e}, {it3} iters"))
             },
         );
     }

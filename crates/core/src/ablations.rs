@@ -9,7 +9,7 @@
 
 use a64fx_apps::{cosa, hpcg, minikab, nekbone};
 use archsim::{paper_toolchain, system, InterconnectKind, SystemId};
-use netsim::{build_topology, Network};
+use netsim::Network;
 use simmpi::{Placement, PlacementPolicy, World};
 
 use crate::costmodel::{Executor, JobLayout};
@@ -219,11 +219,6 @@ pub fn run_all() -> Vec<Table> {
         placement_policy(),
         fastmath_sweep(),
     ]
-}
-
-/// Build the topology for an ablation (re-exported convenience).
-pub fn topology_for(kind: InterconnectKind, nodes: usize) -> Box<dyn netsim::Topology> {
-    build_topology(kind, nodes)
 }
 
 #[cfg(test)]

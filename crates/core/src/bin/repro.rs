@@ -77,7 +77,7 @@ use std::time::Duration;
 
 use a64fx_apps::{castep, cosa, hpcg, minikab, nekbone, opensbli};
 use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd, RetryPolicy};
-use a64fx_core::costmodel::JobLayout;
+use a64fx_core::costmodel::{JobLayout, PricingBackend};
 use a64fx_core::{
     ablations, autotune, chaos, experiments, extensions, runner, timeline, tracecache,
 };
@@ -170,83 +170,29 @@ fn take_no_cache(args: &mut Vec<String>) {
     }
 }
 
-/// Strip `--threads N` out of `args` (wherever it appears) and resolve the
-/// worker count: flag, then `A64FX_REPRO_THREADS`, then
-/// `available_parallelism`.
-fn take_threads(args: &mut Vec<String>) -> usize {
-    let mut threads = None;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let v = match args.get(i + 1) {
-            Some(raw) => match runner::parse_threads(raw) {
-                Ok(v) => v,
-                Err(why) => {
-                    eprintln!("--threads: {why}");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!("--threads needs a positive integer");
-                std::process::exit(2);
-            }
-        };
-        threads = Some(v);
-        args.drain(i..=i + 1);
-    }
-    runner::resolve_threads(threads)
-}
-
-/// Strip `--des-backend <value>` out of `args` (wherever it appears) and
-/// resolve the discrete-event engine: flag, then `A64FX_DES_BACKEND`, then
-/// serial. The resolved backend is installed process-wide so every
-/// DES-routed experiment (e.g. D1) picks it up; serial and sharded runs
-/// are byte-identical by construction.
-fn take_des_backend(args: &mut Vec<String>) -> netsim::DesBackend {
-    let mut explicit = None;
-    if let Some(i) = args.iter().position(|a| a == "--des-backend") {
-        let v = match args.get(i + 1) {
-            Some(raw) => match netsim::DesBackend::parse(raw) {
-                Ok(v) => v,
-                Err(why) => {
-                    eprintln!("--des-backend: {why}");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!("--des-backend needs 'serial' or 'sharded<N>'");
-                std::process::exit(2);
-            }
-        };
-        explicit = Some(v);
-        args.drain(i..=i + 1);
-    }
-    runner::resolve_des_backend(explicit)
-}
-
-/// Strip `--pricing <value>` out of `args` (wherever it appears) and
-/// resolve the kernel-pricing backend: flag, then `A64FX_PRICING`, then
-/// the flat roofline. The resolved backend is installed process-wide so
-/// every executor built without an explicit backend picks it up; the
-/// flat default is byte-identical to every pre-ECM release.
-fn take_pricing(args: &mut Vec<String>) -> a64fx_core::costmodel::PricingBackend {
-    let mut explicit = None;
-    if let Some(i) = args.iter().position(|a| a == "--pricing") {
-        let v = match args.get(i + 1) {
-            Some(raw) => match a64fx_core::costmodel::PricingBackend::parse(raw) {
-                Ok(v) => v,
-                Err(why) => {
-                    eprintln!("--pricing: {why}");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!("--pricing needs 'flat' or 'ecm'");
-                std::process::exit(2);
-            }
-        };
-        explicit = Some(v);
-        args.drain(i..=i + 1);
-    }
-    runner::resolve_pricing(explicit)
+/// Strip `<flag> <value>` out of `args` (wherever it appears), returning
+/// the value read through `parse` if the flag was given. A missing or
+/// invalid value exits 2 (`<flag> needs <needs>` / `<flag>: <why>`).
+fn take_parsed<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    needs: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let v = match args.get(i + 1).map(|raw| parse(raw)) {
+        Some(Ok(v)) => v,
+        Some(Err(why)) => {
+            eprintln!("{flag}: {why}");
+            std::process::exit(2);
+        }
+        None => {
+            eprintln!("{flag} needs {needs}");
+            std::process::exit(2);
+        }
+    };
+    args.drain(i..=i + 1);
+    Some(v)
 }
 
 /// Strip a bare `flag` out of `args` (wherever it appears); whether it
@@ -274,31 +220,6 @@ fn take_u64(args: &mut Vec<String>, flag: &str) -> Option<u64> {
     };
     args.drain(i..=i + 1);
     Some(v)
-}
-
-/// Strip `--deadline-secs <n>` out of `args` (wherever it appears) and
-/// resolve the per-experiment deadline: flag, then `A64FX_DEADLINE_SECS`
-/// (invalid values warn and are ignored), then the 600s default.
-fn take_deadline(args: &mut Vec<String>) -> Duration {
-    let mut explicit = None;
-    if let Some(i) = args.iter().position(|a| a == "--deadline-secs") {
-        let v = match args.get(i + 1) {
-            Some(raw) => match runner::parse_deadline_secs(raw) {
-                Ok(v) => v,
-                Err(why) => {
-                    eprintln!("--deadline-secs: {why}");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!("--deadline-secs needs a positive integer of seconds");
-                std::process::exit(2);
-            }
-        };
-        explicit = Some(Duration::from_secs(v));
-        args.drain(i..=i + 1);
-    }
-    runner::resolve_deadline(explicit)
 }
 
 /// Campaign flags for `--all`: journal path, resume, retry policy, the
@@ -371,10 +292,57 @@ fn run_observed(id: &str, deadline: Duration, sink: &ObsSink) -> runner::Experim
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     take_no_cache(&mut args);
-    let threads = take_threads(&mut args);
-    let deadline = take_deadline(&mut args);
-    netsim::shard::set_default_backend(take_des_backend(&mut args));
-    a64fx_core::costmodel::set_default_pricing(take_pricing(&mut args));
+    // Each setting resolves flag, then environment variable (invalid values
+    // warn and are ignored), then default.
+    let threads = runner::resolve(
+        take_parsed(
+            &mut args,
+            "--threads",
+            "a positive integer",
+            runner::parse_threads,
+        ),
+        "A64FX_REPRO_THREADS",
+        runner::parse_threads,
+        densela::pool::available_parallelism,
+    );
+    let parse_deadline = |raw: &str| runner::parse_deadline_secs(raw).map(Duration::from_secs);
+    let deadline = runner::resolve(
+        take_parsed(
+            &mut args,
+            "--deadline-secs",
+            "a positive integer of seconds",
+            parse_deadline,
+        ),
+        "A64FX_DEADLINE_SECS",
+        parse_deadline,
+        || runner::DEFAULT_DEADLINE,
+    );
+    // The DES and pricing backends are installed process-wide, so every
+    // DES-routed experiment and every executor built without an explicit
+    // backend picks them up. Serial and sharded runs are byte-identical,
+    // and the flat default is byte-identical to every pre-ECM release.
+    netsim::shard::set_default_backend(runner::resolve(
+        take_parsed(
+            &mut args,
+            "--des-backend",
+            "'serial' or 'sharded<N>'",
+            netsim::DesBackend::parse,
+        ),
+        "A64FX_DES_BACKEND",
+        netsim::DesBackend::parse,
+        || netsim::DesBackend::Serial,
+    ));
+    a64fx_core::costmodel::set_default_pricing(runner::resolve(
+        take_parsed(
+            &mut args,
+            "--pricing",
+            "'flat' or 'ecm'",
+            PricingBackend::parse,
+        ),
+        "A64FX_PRICING",
+        PricingBackend::parse,
+        || PricingBackend::Flat,
+    ));
     let sink = ObsSink::take(&mut args);
     let cflags = CampaignFlags::take(&mut args);
     if sink.is_some()

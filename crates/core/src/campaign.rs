@@ -37,9 +37,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::experiments;
-use crate::report::{json_escape, Table};
+use crate::report::Table;
 use crate::runner;
 use crate::tracecache::Fnv1a;
+use obs::json::{self, Value};
 
 /// Journal format version. Bump on any record-layout change; loaders
 /// refuse other versions and the campaign starts fresh.
@@ -123,36 +124,33 @@ pub struct JournalRecord {
     pub json: Option<String>,
 }
 
-/// Serialise one record to its single JSONL line (no trailing newline),
-/// with the sealing checksum appended.
+/// One record's JSONL body: everything on its line before the seal that
+/// [`seal`] appends (no trailing newline).
 fn record_line(r: &JournalRecord) -> String {
     let json_field = match &r.json {
-        Some(j) => format!("\"{}\"", json_escape(j)),
+        Some(j) => format!("\"{}\"", json::escape(j)),
         None => "null".to_string(),
     };
-    let body = format!(
+    format!(
         "{{\"v\":{JOURNAL_VERSION},\"seq\":{},\"id\":\"{}\",\"attempts\":{},\"ok\":{},\"render\":\"{}\",\"json\":{}",
         r.seq,
-        json_escape(&r.id),
+        json::escape(&r.id),
         r.attempts,
         r.ok,
-        json_escape(&r.render),
+        json::escape(&r.render),
         json_field,
-    );
-    seal(&body)
+    )
 }
 
-/// The campaign header line: pins the journal version and the id list,
+/// The campaign header's body: pins the journal version and the id list,
 /// so a journal can never be resumed against a different campaign shape.
 fn header_line(ids: &[&str]) -> String {
     let list = ids
         .iter()
-        .map(|id| format!("\"{}\"", json_escape(id)))
+        .map(|id| format!("\"{}\"", json::escape(id)))
         .collect::<Vec<_>>()
         .join(",");
-    seal(&format!(
-        "{{\"v\":{JOURNAL_VERSION},\"kind\":\"campaign\",\"ids\":[{list}]"
-    ))
+    format!("{{\"v\":{JOURNAL_VERSION},\"kind\":\"campaign\",\"ids\":[{list}]")
 }
 
 /// Append `,"fnv":"<digest>"}` where the digest covers every byte of
@@ -183,138 +181,49 @@ fn unseal(line: &str) -> Option<&str> {
     (h.finish() == want).then_some(body)
 }
 
-// ---- a tiny strict parser -------------------------------------------------
+// ---- reading: parse, then round-trip --------------------------------------
 //
-// The journal only ever parses its own writer's output, so the reader is
-// a strict cursor over the exact field order the writer emits. Anything
-// unexpected — reordered fields, damaged escapes, foreign JSON — fails
-// the parse, and the loader treats the line exactly like a checksum
-// failure: the journal ends there.
+// A verified body is parsed with `obs::json` and accepted only when the
+// writer, given the parsed fields, reproduces it byte for byte. That one
+// check refuses everything the writer never emits — reordered, extra or
+// missing keys, `1.0` or `01` for an integer, optional escapes, spaces —
+// and the loader treats such a line exactly like a checksum failure: the
+// journal ends there.
 
-struct Scan<'a> {
-    s: &'a str,
+/// Parse a verified body (the part [`unseal`] returns) as a JSON object.
+fn parse_body(body: &str) -> Option<Value> {
+    json::parse(&format!("{body}}}")).ok()
 }
 
-impl<'a> Scan<'a> {
-    fn lit(&mut self, lit: &str) -> Option<()> {
-        self.s = self.s.strip_prefix(lit)?;
-        Some(())
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self
-            .s
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.s.len());
-        if end == 0 {
-            return None;
-        }
-        let (num, rest) = self.s.split_at(end);
-        self.s = rest;
-        num.parse().ok()
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        if self.lit("true").is_some() {
-            Some(true)
-        } else if self.lit("false").is_some() {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    /// A quoted JSON string (the opening quote already consumed by the
-    /// caller's literal), unescaped.
-    fn string_body(&mut self) -> Option<String> {
-        let mut out = String::new();
-        let mut chars = self.s.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.s = &self.s[i + 1..];
-                    return Some(out);
-                }
-                '\\' => {
-                    let (_, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, h) = chars.next()?;
-                                code = code * 16 + h.to_digit(16)?;
-                            }
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-        None
-    }
-}
-
-/// Parse a verified record body (the part [`unseal`] returns).
+/// Parse a verified record body; `None` unless it round-trips.
 fn parse_record(body: &str) -> Option<JournalRecord> {
-    let mut sc = Scan { s: body };
-    sc.lit("{\"v\":")?;
-    if sc.u64()? != u64::from(JOURNAL_VERSION) {
-        return None;
-    }
-    sc.lit(",\"seq\":")?;
-    let seq = sc.u64()?;
-    sc.lit(",\"id\":\"")?;
-    let id = sc.string_body()?;
-    sc.lit(",\"attempts\":")?;
-    let attempts = u32::try_from(sc.u64()?).ok()?;
-    sc.lit(",\"ok\":")?;
-    let ok = sc.bool()?;
-    sc.lit(",\"render\":\"")?;
-    let render = sc.string_body()?;
-    sc.lit(",\"json\":")?;
-    let json = if sc.lit("null").is_some() {
-        None
-    } else {
-        sc.lit("\"")?;
-        Some(sc.string_body()?)
+    let v = parse_body(body)?;
+    let field = |key: &str| v.get(key);
+    // The casts saturate; a number the writer would not print back the
+    // same way fails the round trip below.
+    let rec = JournalRecord {
+        seq: field("seq")?.as_f64()? as u64,
+        id: field("id")?.as_str()?.to_string(),
+        attempts: field("attempts")?.as_f64()? as u32,
+        ok: match field("ok")? {
+            Value::Bool(b) => *b,
+            _ => return None,
+        },
+        render: field("render")?.as_str()?.to_string(),
+        json: match field("json")? {
+            Value::Null => None,
+            j => Some(j.as_str()?.to_string()),
+        },
     };
-    sc.s.is_empty().then_some(JournalRecord {
-        seq,
-        id,
-        attempts,
-        ok,
-        render,
-        json,
-    })
+    (record_line(&rec) == body).then_some(rec)
 }
 
-/// Parse a verified header body, returning the pinned id list.
+/// Parse a verified header body, returning the pinned id list; `None`
+/// unless it round-trips.
 fn parse_header(body: &str) -> Option<Vec<String>> {
-    let mut sc = Scan { s: body };
-    sc.lit("{\"v\":")?;
-    if sc.u64()? != u64::from(JOURNAL_VERSION) {
-        return None;
-    }
-    sc.lit(",\"kind\":\"campaign\",\"ids\":[")?;
-    let mut ids = Vec::new();
-    if sc.lit("]").is_none() {
-        loop {
-            sc.lit("\"")?;
-            ids.push(sc.string_body()?);
-            if sc.lit(",").is_none() {
-                sc.lit("]")?;
-                break;
-            }
-        }
-    }
-    sc.s.is_empty().then_some(ids)
+    let v = parse_body(body)?;
+    let ids = v.get("ids")?.as_str_vec()?;
+    (header_line(&ids) == body).then(|| ids.into_iter().map(str::to_string).collect())
 }
 
 // ---- journal load/append --------------------------------------------------
@@ -399,7 +308,7 @@ impl Journal {
             std::fs::create_dir_all(parent)?;
         }
         let mut file = File::create(path)?;
-        file.write_all(format!("{}\n", header_line(ids)).as_bytes())?;
+        file.write_all(format!("{}\n", seal(&header_line(ids))).as_bytes())?;
         file.sync_data()?;
         Ok(Journal {
             file,
@@ -448,7 +357,7 @@ impl Journal {
             json: json.map(str::to_string),
         };
         self.file
-            .write_all(format!("{}\n", record_line(&rec)).as_bytes())?;
+            .write_all(format!("{}\n", seal(&record_line(&rec))).as_bytes())?;
         self.file.sync_data()?;
         self.next_seq = seq + 1;
         JOURNAL_RECORDS.fetch_add(1, Ordering::Relaxed);
@@ -772,7 +681,7 @@ pub fn merged_json(outcomes: &[CampaignOutcome]) -> String {
             Some(j) => j.trim_end().to_string(),
             None => format!(
                 "{{\n  \"id\": \"{}\",\n  \"failed\": true\n}}",
-                json_escape(&o.id)
+                json::escape(&o.id)
             ),
         };
         // Indent each table to sit inside the array.
@@ -820,7 +729,7 @@ mod tests {
             render: demo_table("t4").render(),
             json: Some(demo_table("t4").to_json(&[])),
         };
-        let line = record_line(&rec);
+        let line = seal(&record_line(&rec));
         assert!(!line.contains('\n'), "records must be single lines");
         let parsed = parse_record(unseal(&line).expect("seal verifies")).expect("parses");
         assert_eq!(parsed, rec);
@@ -831,21 +740,21 @@ mod tests {
             ..rec
         };
         assert_eq!(
-            parse_record(unseal(&record_line(&fail)).unwrap()).unwrap(),
+            parse_record(unseal(&seal(&record_line(&fail))).unwrap()).unwrap(),
             fail
         );
     }
 
     #[test]
     fn tampered_lines_fail_to_unseal() {
-        let line = record_line(&JournalRecord {
+        let line = seal(&record_line(&JournalRecord {
             seq: 0,
             id: "t1".into(),
             attempts: 1,
             ok: true,
             render: "x".into(),
             json: None,
-        });
+        }));
         assert!(unseal(&line).is_some());
         for pos in 0..line.len() {
             let mut bad = line.clone().into_bytes();
@@ -857,6 +766,123 @@ mod tests {
                 "flip at {pos} must not verify"
             );
         }
+    }
+
+    /// A three-record journal over `ids` with record 1 replaced by
+    /// `line_1` (no newline); returns the path.
+    fn journal_with_line_1(name: &str, ids: &[&str], line_1: &str) -> PathBuf {
+        let path = tmp(name);
+        let mut j = Journal::create(&path, ids).unwrap();
+        for id in ids {
+            j.append(id, 1, true, &demo_table(id).render(), None)
+                .unwrap();
+        }
+        drop(j);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[2] = line_1;
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        path
+    }
+
+    #[test]
+    fn resealed_foreign_shapes_end_the_journal_where_a_bad_seal_would() {
+        let ids = ["a", "b", "c"];
+        let body = record_line(&JournalRecord {
+            seq: 1,
+            id: "b".into(),
+            attempts: 1,
+            ok: true,
+            render: demo_table("b").render(),
+            json: None,
+        });
+        // The reference: record 1 with a broken seal.
+        let bad_seal = seal(&body).replace("\"fnv\":\"", "\"fnv\":\"0");
+        assert!(unseal(&bad_seal).is_none());
+        let path = journal_with_line_1("bad-seal", &ids, &bad_seal);
+        let reference = load_journal(&path, &ids).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(reference.records.len(), 1);
+
+        let cases: [(&str, String); 5] = [
+            (
+                "reordered keys",
+                body.replacen("\"seq\":1,\"id\":\"b\"", "\"id\":\"b\",\"seq\":1", 1),
+            ),
+            ("seq 1.0", body.replacen("\"seq\":1,", "\"seq\":1.0,", 1)),
+            ("seq 01", body.replacen("\"seq\":1,", "\"seq\":01,", 1)),
+            ("extra key", format!("{body},\"extra\":0")),
+            (
+                "missing json key",
+                body.rsplit_once(",\"json\":").unwrap().0.to_string(),
+            ),
+        ];
+        for (what, edited) in cases {
+            assert_ne!(edited, body, "{what}: the edit must change the body");
+            let line = seal(&edited);
+            assert_eq!(
+                unseal(&line),
+                Some(edited.as_str()),
+                "{what}: seal verifies"
+            );
+            assert!(parse_body(&edited).is_some(), "{what}: still valid JSON");
+            let path = journal_with_line_1("resealed", &ids, &line);
+            let loaded = load_journal(&path, &ids).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(loaded.records, reference.records, "{what}");
+            assert_eq!(loaded.valid_bytes, reference.valid_bytes, "{what}");
+            assert!(
+                loaded.warnings.len() == 1
+                    && loaded.warnings[0].starts_with("journal ends at record 1 "),
+                "{what}: {:?}",
+                loaded.warnings
+            );
+        }
+        // A resealed header with an extra key is refused like a foreign one.
+        let path = tmp("resealed-header");
+        let header = seal(&format!("{},\"extra\":0", header_line(&ids)));
+        std::fs::write(&path, format!("{header}\n")).unwrap();
+        assert!(load_journal(&path, &ids).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_from_the_v1_writer_loads_and_resumes_byte_identically() {
+        // Written by the version-1 writer: a clean record for "a" (table
+        // JSON with quotes and newlines) and a failed record for "b"
+        // (control characters and non-ASCII in the render).
+        let fixture = include_str!("../tests/fixtures/journal-v1.jsonl");
+        let ids = ["a", "b", "c"];
+        // Today's writer emits the same bytes for the same outcomes.
+        let path = tmp("v1-rewrite");
+        {
+            let mut j = Journal::create(&path, &ids).unwrap();
+            let t = demo_table("a");
+            j.append("a", 1, true, &t.render(), Some(&t.to_json(&[])))
+                .unwrap();
+            j.append("b", 2, false, "== b FAILED: boom \u{1} \t é ==\n", None)
+                .unwrap();
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), fixture);
+        let _ = std::fs::remove_file(&path);
+        // Today's reader loads every record of it...
+        let path = tmp("v1-resume");
+        std::fs::write(&path, fixture).unwrap();
+        let loaded = load_journal(&path, &ids).expect("v1 header matches");
+        assert_eq!(loaded.records.len(), 2);
+        assert_eq!(loaded.valid_bytes, fixture.len() as u64);
+        assert!(loaded.warnings.is_empty());
+        assert_eq!(loaded.records[1].attempts, 2);
+        assert!(!loaded.records[1].ok);
+        // ...and resuming reproduces an uninterrupted run byte for byte.
+        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        let resumed = run_campaign_with(&ids, demo_body(), &cfg, Some(&path), true).unwrap();
+        let clean_path = tmp("v1-clean");
+        let clean = run_campaign_with(&ids, demo_body(), &cfg, Some(&clean_path), false).unwrap();
+        assert!(resumed.outcomes[0].from_journal);
+        assert_eq!(merged_json(&resumed.outcomes), merged_json(&clean.outcomes));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&clean_path);
     }
 
     #[test]

@@ -242,11 +242,6 @@ impl<'a> Executor<'a> {
         self.pricing
     }
 
-    /// Mutable access to the calibration (ablation sweeps).
-    pub fn calibration_mut(&mut self) -> &mut Calibration {
-        &mut self.calib
-    }
-
     /// Replay `trace` under `layout`; returns the priced result.
     ///
     /// # Panics

@@ -88,7 +88,7 @@ mod tests {
 
     #[test]
     fn d1_columns_are_backend_invariant() {
-        // The acceptance criterion in miniature: the table body must not
+        // The acceptance check in miniature: the table body must not
         // change when the engine is swapped under it.
         let serial = d1();
         let prev = netsim::shard::default_backend();

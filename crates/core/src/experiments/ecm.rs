@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn e1_is_invariant_under_the_process_pricing_default() {
-        // The acceptance criterion in miniature: flipping the installed
+        // The acceptance check in miniature: flipping the installed
         // default must not move a single byte of this table.
         let under_flat = e1();
         let prev = crate::costmodel::default_pricing();

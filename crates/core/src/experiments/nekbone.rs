@@ -8,14 +8,6 @@ use crate::paper;
 use crate::report::{pair, Table};
 use crate::tracecache;
 
-/// Systems the paper ran Nekbone on.
-pub const NEKBONE_SYSTEMS: [SystemId; 4] = [
-    SystemId::A64fx,
-    SystemId::Ngio,
-    SystemId::Fulhame,
-    SystemId::Archer,
-];
-
 /// Simulated Nekbone GFLOP/s with `ranks` MPI-only ranks over `nodes`
 /// nodes, optionally with fast-math flags.
 pub fn nekbone_gflops(sys: SystemId, nodes: u32, ranks: u32, fastmath: bool) -> f64 {

@@ -8,14 +8,6 @@ use crate::paper;
 use crate::report::{pair, Table};
 use crate::tracecache;
 
-/// Systems the paper ran OpenSBLI on (no ARCHER row in Table X).
-pub const OPENSBLI_SYSTEMS: [SystemId; 4] = [
-    SystemId::A64fx,
-    SystemId::Cirrus,
-    SystemId::Ngio,
-    SystemId::Fulhame,
-];
-
 /// Simulated OpenSBLI total runtime (seconds) on `nodes` fully populated
 /// nodes of `sys`.
 pub fn opensbli_runtime_s(sys: SystemId, nodes: u32) -> f64 {

@@ -1,9 +1,9 @@
 //! Plain-text table rendering with paper-vs-simulated comparison support.
 
-use serde::{Deserialize, Serialize};
+use obs::json;
 
 /// A rendered experiment result: title, column headers, string cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment id, e.g. "T3" or "F4".
     pub id: String,
@@ -104,32 +104,13 @@ impl Table {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal. Shared with
-/// the campaign journal writer, whose records must round-trip rendered
-/// tables (including newlines) through single-line JSONL.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str_array(items: &[String], indent: &str) -> String {
     if items.is_empty() {
         return "[]".to_string();
     }
     let body = items
         .iter()
-        .map(|s| format!("{indent}  \"{}\"", json_escape(s)))
+        .map(|s| format!("{indent}  \"{}\"", json::escape(s)))
         .collect::<Vec<_>>()
         .join(",\n");
     format!("[\n{body}\n{indent}]")
@@ -138,17 +119,19 @@ fn json_str_array(items: &[String], indent: &str) -> String {
 impl Table {
     /// Serialise the table to pretty-printed JSON with a stable key order.
     ///
-    /// The workspace's `serde` is an offline marker stub, so this is the
-    /// real serialisation seam: the `conform` crate snapshots every
-    /// experiment table through it and diffs reruns against the versioned
-    /// goldens. `extra` key/value pairs (already-rendered JSON values) are
+    /// This is the table serialisation seam: the `conform` crate snapshots
+    /// every experiment table through it and diffs reruns against the
+    /// versioned goldens. `extra` key/value pairs (already-rendered JSON values) are
     /// appended verbatim after the table fields — the conformance harness
     /// uses this to embed per-column tolerance bands in the golden files.
     pub fn to_json(&self, extra: &[(&str, String)]) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": \"{}\",\n", json_escape(&self.id)));
-        out.push_str(&format!("  \"title\": \"{}\",\n", json_escape(&self.title)));
+        out.push_str(&format!("  \"id\": \"{}\",\n", json::escape(&self.id)));
+        out.push_str(&format!(
+            "  \"title\": \"{}\",\n",
+            json::escape(&self.title)
+        ));
         out.push_str(&format!(
             "  \"headers\": {},\n",
             json_str_array(&self.headers, "  ")
@@ -170,7 +153,7 @@ impl Table {
             json_str_array(&self.notes, "  ")
         ));
         for (k, v) in extra {
-            out.push_str(&format!(",\n  \"{}\": {v}", json_escape(k)));
+            out.push_str(&format!(",\n  \"{}\": {v}", json::escape(k)));
         }
         out.push_str("\n}\n");
         out

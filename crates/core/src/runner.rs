@@ -25,7 +25,7 @@ use crate::report::Table;
 /// Default wall-clock budget for one experiment. Generous: the slowest
 /// artefact takes tens of seconds on one core; ten minutes only trips on a
 /// genuine hang. Override with `repro --deadline-secs` or
-/// `A64FX_DEADLINE_SECS` (see [`resolve_deadline`]).
+/// `A64FX_DEADLINE_SECS` (see [`resolve`]).
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(600);
 
 /// Parse a per-experiment deadline request in whole seconds. Pure (no
@@ -44,37 +44,6 @@ pub fn parse_deadline_secs(raw: &str) -> Result<u64, String> {
     }
 }
 
-/// Resolve the per-experiment deadline: an explicit request (e.g. a
-/// `--deadline-secs` flag) wins, then the `A64FX_DEADLINE_SECS`
-/// environment variable, then [`DEFAULT_DEADLINE`]. As with
-/// [`resolve_threads`], a present-but-invalid environment variable is
-/// treated as unset with a one-line warning on stderr — a typo in a login
-/// script must never refuse to run.
-pub fn resolve_deadline(explicit: Option<Duration>) -> Duration {
-    resolve_deadline_from(
-        explicit,
-        std::env::var("A64FX_DEADLINE_SECS").ok().as_deref(),
-    )
-}
-
-/// [`resolve_deadline`] with the environment value passed in — the pure
-/// core, split out so tests can exercise the env path without mutating
-/// the environment of a multi-threaded test runner.
-pub fn resolve_deadline_from(explicit: Option<Duration>, env: Option<&str>) -> Duration {
-    if let Some(d) = explicit.filter(|d| !d.is_zero()) {
-        return d;
-    }
-    if let Some(raw) = env {
-        match parse_deadline_secs(raw) {
-            Ok(n) => return Duration::from_secs(n),
-            Err(why) => {
-                eprintln!("warning: ignoring A64FX_DEADLINE_SECS ({why}); using default");
-            }
-        }
-    }
-    DEFAULT_DEADLINE
-}
-
 /// Parse a thread-count request. Pure (no environment access) so garbage
 /// handling is unit-testable: empty, unparseable, zero or negative input is
 /// an `Err` describing the problem.
@@ -90,78 +59,36 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// Resolve the worker-team size: an explicit request (e.g. a `--threads`
-/// flag) wins, then the `A64FX_REPRO_THREADS` environment variable, then
-/// `available_parallelism`. A present-but-invalid environment variable is
-/// treated as unset with a one-line warning on stderr — the runner must
-/// never refuse to run over a typo in a login script.
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit.filter(|&n| n >= 1) {
-        return n;
+/// Resolve one run setting: an explicit request (a command-line flag)
+/// wins, then the environment variable `env_var` read through `parse`,
+/// then `default()`. A present-but-invalid environment value is treated as
+/// unset with a one-line warning on stderr — a typo in a login script must
+/// never change results or refuse to run.
+///
+/// The settings resolved this way are the worker count
+/// (`A64FX_REPRO_THREADS`, [`parse_threads`], `available_parallelism`),
+/// the per-experiment deadline (`A64FX_DEADLINE_SECS`,
+/// [`parse_deadline_secs`], [`DEFAULT_DEADLINE`]), the DES backend
+/// (`A64FX_DES_BACKEND`, `netsim::DesBackend::parse`, serial) and the
+/// pricing backend (`A64FX_PRICING`,
+/// [`PricingBackend::parse`](crate::costmodel::PricingBackend::parse),
+/// flat).
+pub fn resolve<T>(
+    explicit: Option<T>,
+    env_var: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+    default: impl FnOnce() -> T,
+) -> T {
+    if let Some(v) = explicit {
+        return v;
     }
-    if let Ok(raw) = std::env::var("A64FX_REPRO_THREADS") {
-        match parse_threads(&raw) {
-            Ok(n) => return n,
-            Err(why) => {
-                eprintln!("warning: ignoring A64FX_REPRO_THREADS ({why}); using default");
-            }
+    if let Ok(raw) = std::env::var(env_var) {
+        match parse(&raw) {
+            Ok(v) => return v,
+            Err(why) => eprintln!("warning: ignoring {env_var} ({why}); using default"),
         }
     }
-    densela::pool::available_parallelism()
-}
-
-/// Resolve the discrete-event simulation backend: an explicit request
-/// (e.g. a `--des-backend` flag) wins, then the `A64FX_DES_BACKEND`
-/// environment variable (`serial` or `sharded<N>`), then the serial
-/// engine. As with [`resolve_threads`], a present-but-invalid environment
-/// variable is treated as unset with a one-line warning on stderr — a typo
-/// in a login script must never change results or refuse to run.
-pub fn resolve_des_backend(explicit: Option<netsim::DesBackend>) -> netsim::DesBackend {
-    if let Some(b) = explicit {
-        return b;
-    }
-    if let Ok(raw) = std::env::var("A64FX_DES_BACKEND") {
-        match netsim::DesBackend::parse(&raw) {
-            Ok(b) => return b,
-            Err(why) => {
-                eprintln!("warning: ignoring A64FX_DES_BACKEND ({why}); using default");
-            }
-        }
-    }
-    netsim::DesBackend::Serial
-}
-
-/// Resolve the kernel-pricing backend: an explicit request (e.g. a
-/// `--pricing` flag) wins, then the `A64FX_PRICING` environment variable
-/// (`flat` or `ecm`), then the flat roofline. As with
-/// [`resolve_des_backend`], a present-but-invalid environment variable is
-/// treated as unset with a one-line warning on stderr — a typo in a login
-/// script must never change results or refuse to run.
-pub fn resolve_pricing(
-    explicit: Option<crate::costmodel::PricingBackend>,
-) -> crate::costmodel::PricingBackend {
-    resolve_pricing_from(explicit, std::env::var("A64FX_PRICING").ok().as_deref())
-}
-
-/// [`resolve_pricing`] with the environment value passed in — the pure
-/// core, split out so tests can exercise the env path without mutating
-/// the environment of a multi-threaded test runner.
-pub fn resolve_pricing_from(
-    explicit: Option<crate::costmodel::PricingBackend>,
-    env: Option<&str>,
-) -> crate::costmodel::PricingBackend {
-    if let Some(b) = explicit {
-        return b;
-    }
-    if let Some(raw) = env {
-        match crate::costmodel::PricingBackend::parse(raw) {
-            Ok(b) => return b,
-            Err(why) => {
-                eprintln!("warning: ignoring A64FX_PRICING ({why}); using default");
-            }
-        }
-    }
-    crate::costmodel::PricingBackend::Flat
+    default()
 }
 
 /// Record-volume summary of an observed experiment: how much the recorder
@@ -380,6 +307,7 @@ pub fn run_all_parallel_bounded(workers: usize) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costmodel::PricingBackend;
 
     #[test]
     fn parallel_run_matches_serial_order_and_content() {
@@ -416,56 +344,95 @@ mod tests {
         }
     }
 
+    /// [`resolve`] with `raw` in an environment variable that only the
+    /// calling test uses (`None` leaves it unset), so the environment path
+    /// is exercised without touching a variable the runner reads. `std::env`
+    /// serialises its own reads and writes, and nothing here reads the
+    /// environment through libc.
+    fn resolve_env<T>(
+        var: &str,
+        explicit: Option<T>,
+        raw: Option<&str>,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+        default: impl FnOnce() -> T,
+    ) -> T {
+        match raw {
+            Some(v) => std::env::set_var(var, v),
+            None => std::env::remove_var(var),
+        }
+        resolve(explicit, var, parse, default)
+    }
+
+    fn pricing(var: &str, explicit: Option<PricingBackend>, raw: Option<&str>) -> PricingBackend {
+        resolve_env(var, explicit, raw, PricingBackend::parse, || {
+            PricingBackend::Flat
+        })
+    }
+
+    fn deadline(var: &str, explicit: Option<Duration>, raw: Option<&str>) -> Duration {
+        let parse = |r: &str| parse_deadline_secs(r).map(Duration::from_secs);
+        resolve_env(var, explicit, raw, parse, || DEFAULT_DEADLINE)
+    }
+
     #[test]
     fn explicit_thread_request_wins() {
-        assert_eq!(resolve_threads(Some(3)), 3);
-        // Zero explicit request falls through to the default chain.
-        assert!(resolve_threads(Some(0)) >= 1);
+        let threads = |explicit| {
+            resolve(
+                explicit,
+                "A64FX_REPRO_THREADS",
+                parse_threads,
+                densela::pool::available_parallelism,
+            )
+        };
+        assert_eq!(threads(Some(3)), 3);
+        assert!(threads(None) >= 1);
+        // A zero request never reaches the resolver: the flag parser
+        // refuses it.
+        assert!(parse_threads("0").is_err());
     }
 
     #[test]
     fn explicit_des_backend_wins() {
         // The flag beats the environment and the serial default.
-        let b = resolve_des_backend(Some(netsim::DesBackend::Sharded { shards: 4 }));
+        let b = resolve_env(
+            "A64FX_TEST_DES_FLAG",
+            Some(netsim::DesBackend::Sharded { shards: 4 }),
+            Some("serial"),
+            netsim::DesBackend::parse,
+            || netsim::DesBackend::Serial,
+        );
         assert_eq!(b, netsim::DesBackend::Sharded { shards: 4 });
     }
 
     #[test]
     fn explicit_pricing_beats_environment() {
-        use crate::costmodel::PricingBackend;
         // The flag beats the environment and the flat default.
+        let var = "A64FX_TEST_PRICING_FLAG";
         assert_eq!(
-            resolve_pricing_from(Some(PricingBackend::Ecm), Some("flat")),
+            pricing(var, Some(PricingBackend::Ecm), Some("flat")),
             PricingBackend::Ecm
         );
         assert_eq!(
-            resolve_pricing_from(Some(PricingBackend::Flat), Some("ecm")),
+            pricing(var, Some(PricingBackend::Flat), Some("ecm")),
             PricingBackend::Flat
         );
     }
 
     #[test]
     fn environment_pricing_used_when_no_flag() {
-        use crate::costmodel::PricingBackend;
-        assert_eq!(
-            resolve_pricing_from(None, Some(" ECM ")),
-            PricingBackend::Ecm
-        );
-        assert_eq!(
-            resolve_pricing_from(None, Some("flat")),
-            PricingBackend::Flat
-        );
-        assert_eq!(resolve_pricing_from(None, None), PricingBackend::Flat);
+        let var = "A64FX_TEST_PRICING_ENV";
+        assert_eq!(pricing(var, None, Some(" ECM ")), PricingBackend::Ecm);
+        assert_eq!(pricing(var, None, Some("flat")), PricingBackend::Flat);
+        assert_eq!(pricing(var, None, None), PricingBackend::Flat);
     }
 
     #[test]
     fn garbage_pricing_environment_falls_back_to_flat() {
-        use crate::costmodel::PricingBackend;
         // A typo in a login script must never change results: every
         // unrecognised value degrades to the flat reference model.
         for bad in ["roofline", "", "ecm2", "Ecm Model", "1"] {
             assert_eq!(
-                resolve_pricing_from(None, Some(bad)),
+                pricing("A64FX_TEST_PRICING_GARBAGE", None, Some(bad)),
                 PricingBackend::Flat,
                 "{bad:?} must fall back to flat"
             );
@@ -501,23 +468,23 @@ mod tests {
     #[test]
     fn explicit_deadline_beats_environment() {
         assert_eq!(
-            resolve_deadline_from(Some(Duration::from_secs(5)), Some("99")),
+            deadline(
+                "A64FX_TEST_DEADLINE_FLAG",
+                Some(Duration::from_secs(5)),
+                Some("99")
+            ),
             Duration::from_secs(5)
         );
-        // A zero explicit request falls through to the default chain.
-        assert_eq!(
-            resolve_deadline_from(Some(Duration::ZERO), None),
-            DEFAULT_DEADLINE
-        );
+        // A zero request never reaches the resolver: the flag parser
+        // refuses it.
+        assert!(parse_deadline_secs("0").is_err());
     }
 
     #[test]
     fn environment_deadline_used_when_no_flag() {
-        assert_eq!(
-            resolve_deadline_from(None, Some("42")),
-            Duration::from_secs(42)
-        );
-        assert_eq!(resolve_deadline_from(None, None), DEFAULT_DEADLINE);
+        let var = "A64FX_TEST_DEADLINE_ENV";
+        assert_eq!(deadline(var, None, Some("42")), Duration::from_secs(42));
+        assert_eq!(deadline(var, None, None), DEFAULT_DEADLINE);
     }
 
     #[test]
@@ -526,7 +493,7 @@ mod tests {
         // unrecognised value degrades to the ten-minute default.
         for bad in ["soon", "", "0", "-1", "5 minutes"] {
             assert_eq!(
-                resolve_deadline_from(None, Some(bad)),
+                deadline("A64FX_TEST_DEADLINE_GARBAGE", None, Some(bad)),
                 DEFAULT_DEADLINE,
                 "{bad:?} must fall back to the default"
             );

@@ -19,7 +19,7 @@
 //! cost one rebuild.
 //!
 //! Encoding is a fixed little-endian byte layout written and read by
-//! hand (the workspace's `serde` is an offline marker stub). Round-trip
+//! hand (the workspace has no serialisation dependency). Round-trip
 //! equality is pinned by tests here and bit-transparency by the conform
 //! `campaign` suite.
 

@@ -17,7 +17,7 @@
 //! tests demand of the whole simulator.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// A published job: a type-erased reference to the caller's closure, valid
@@ -55,8 +55,14 @@ struct Shared {
 /// [`KernelPool::run`] executes one closure on every lane and returns when
 /// all lanes have finished. With `threads == 1` no OS threads exist at all
 /// and `run` degenerates to a plain call — the serial fallback.
+///
+/// The pool is `Sync` and may be shared (a cloned `sparsela::Team` shares
+/// one): concurrent dispatches are serialised, each running to completion
+/// on every lane before the next is published.
 pub struct KernelPool {
     shared: Arc<Shared>,
+    /// Held by a dispatching caller for the whole of [`KernelPool::run`].
+    dispatch: Mutex<()>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
 }
@@ -98,6 +104,7 @@ impl KernelPool {
             .collect();
         KernelPool {
             shared,
+            dispatch: Mutex::new(()),
             workers,
             threads,
         }
@@ -130,6 +137,10 @@ impl KernelPool {
     /// `f` must treat `lane` as its identity and touch disjoint data per
     /// lane; the pool imposes no other structure.
     ///
+    /// Callers on other threads wait until this dispatch has finished, so
+    /// `f` must not dispatch on the same pool: calling `run` from inside a
+    /// lane would deadlock.
+    ///
     /// # Panics
     /// Re-raises (as a fresh panic) if any lane's closure panicked.
     pub fn run<F: Fn(usize) + Sync>(&self, f: F) {
@@ -137,9 +148,13 @@ impl KernelPool {
             f(0);
             return;
         }
+        // A panicking job poisons this lock on its way out; the pool state
+        // is consistent by then, so the poison carries no information.
+        let _dispatch = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
         // SAFETY: only the lifetime is erased. Workers drop their last use
         // of the pointer before decrementing `remaining`, and this function
-        // does not return (keeping `f` alive) until `remaining == 0`.
+        // does not return (keeping `f` alive) until `remaining == 0`. The
+        // dispatch lock keeps any other caller from publishing over it.
         let job = Job(unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(&f)
                 as *const _
@@ -147,7 +162,7 @@ impl KernelPool {
         let generation;
         {
             let mut st = self.shared.state.lock().unwrap();
-            debug_assert_eq!(st.remaining, 0, "dispatch while a job is still running");
+            assert_eq!(st.remaining, 0, "dispatch while a job is still running");
             st.job = Some(job);
             st.generation += 1;
             generation = st.generation;
@@ -420,6 +435,69 @@ mod tests {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
+    }
+
+    /// Several threads dispatching on one shared pool at once: every job
+    /// must run on every lane and give the serial answer. Runs under a
+    /// timeout so that a lost dispatch fails the test instead of hanging it.
+    #[test]
+    fn concurrent_dispatchers_share_one_pool_soundly() {
+        const LANES: usize = 4;
+        const CALLERS: usize = 4;
+        const ROUNDS: usize = 400;
+        const CHUNK: usize = 64;
+        let sum_sq = |c: &[f64]| c.iter().fold(0.0, |acc, v| acc + v * v);
+        let pool = Arc::new(KernelPool::new(LANES));
+        // All callers start dispatching together.
+        let start = Arc::new(std::sync::Barrier::new(CALLERS));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut callers = Vec::new();
+        for caller in 0..CALLERS {
+            let (pool, start, tx) = (Arc::clone(&pool), Arc::clone(&start), tx.clone());
+            callers.push(std::thread::spawn(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let seed = (caller * ROUNDS + round) as f64;
+                        let input: Vec<f64> = (0..LANES * CHUNK)
+                            .map(|i| (seed + i as f64 * 0.37).sin())
+                            .collect();
+                        let mut out = vec![f64::NAN; LANES];
+                        let view = SharedSlice::new(&mut out);
+                        pool.run(|lane| {
+                            let acc = sum_sq(&input[lane * CHUNK..(lane + 1) * CHUNK]);
+                            // SAFETY: each lane writes only its own slot.
+                            unsafe { view.set(lane, acc) };
+                        });
+                        for (lane, (got, chunk)) in out.iter().zip(input.chunks(CHUNK)).enumerate()
+                        {
+                            assert!(
+                                !got.is_nan(),
+                                "caller {caller} round {round}: lane {lane} never ran"
+                            );
+                            assert_eq!(
+                                got.to_bits(),
+                                sum_sq(chunk).to_bits(),
+                                "caller {caller} round {round} lane {lane}"
+                            );
+                        }
+                    }
+                }));
+                let _ = tx.send(result.map_err(|_| format!("caller {caller} failed")));
+            }));
+        }
+        // Wait with a timeout, so a lost dispatch fails instead of hanging;
+        // join only once every caller has reported.
+        for _ in 0..CALLERS {
+            match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+                Ok(result) => result.unwrap(),
+                Err(_) => panic!("a dispatcher hung on the shared pool"),
+            }
+        }
+        for c in callers {
+            c.join().expect("callers catch their own panics");
+        }
+        assert_eq!(pool.dispatches(), (CALLERS * ROUNDS) as u64);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! their closed-form work models, which the tests validate against
 //! instrumented runs) and hands the totals to the roofline cost model.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul};
 
 /// Floating-point operations and memory traffic performed by a kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Work {
     /// Double-precision floating-point operations.
     pub flops: u64,

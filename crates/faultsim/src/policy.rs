@@ -8,10 +8,8 @@
 //! job would abort; our network delivers on the final attempt and counts
 //! the exhaustion so experiments can report it).
 
-use serde::{Deserialize, Serialize};
-
 /// A retransmission policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = fail immediately).
     pub max_retries: u32,

@@ -72,11 +72,6 @@ impl Network {
         self.faults = Some(faults);
     }
 
-    /// Remove the fault layer, restoring unconditional delivery.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// The installed fault layer, if any (retry/exhaustion statistics).
     pub fn faults(&self) -> Option<&LinkFaults> {
         self.faults.as_ref()

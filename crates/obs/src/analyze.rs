@@ -29,8 +29,8 @@
 //! by contribution. All outputs are byte-stable: segment walks follow
 //! record order and floats render shortest-round-trip.
 
+use crate::json;
 use crate::mem::Span;
-use crate::{json_escape, json_f64};
 
 /// Where a slice of simulated time went. The order is fixed — JSON
 /// documents, tables and the exact-sum guarantees all follow it, with
@@ -374,19 +374,19 @@ impl Analysis {
         for (k, v) in meta {
             out.push_str(&format!(
                 "  \"{}\": \"{}\",\n",
-                json_escape(k),
-                json_escape(v)
+                json::escape(k),
+                json::escape(v)
             ));
         }
         out.push_str(&format!(
             "  \"extent_us\": {{\"start\": {}, \"end\": {}}},\n",
-            json_f64(self.extent_start_us),
-            json_f64(self.extent_end_us)
+            json::f64(self.extent_start_us),
+            json::f64(self.extent_end_us)
         ));
         out.push_str(&format!(
             "  \"end_to_end_us\": {},\n  \"path_us\": {},\n",
-            json_f64(self.end_to_end_us()),
-            json_f64(self.path_us())
+            json::f64(self.end_to_end_us()),
+            json::f64(self.path_us())
         ));
         out.push_str(&format!(
             "  \"dominant\": \"{}\",\n  \"categories\": {{\n",
@@ -396,8 +396,8 @@ impl Analysis {
             out.push_str(&format!(
                 "    \"{}\": {{\"us\": {}, \"share_pct\": {}}}{}\n",
                 c.name(),
-                json_f64(self.total(*c)),
-                json_f64(self.share_pct(*c)),
+                json::f64(self.total(*c)),
+                json::f64(self.share_pct(*c)),
                 if i + 1 < Category::ALL.len() { "," } else { "" }
             ));
         }
@@ -409,9 +409,9 @@ impl Analysis {
             out.push_str(&format!(
                 "\n    {{\"category\": \"{}\", \"label\": \"{}\", \"us\": {}, \"share_pct\": {}, \"count\": {}}}",
                 n.category.name(),
-                json_escape(&n.label),
-                json_f64(n.us),
-                json_f64(self.share_pct_of(n.us)),
+                json::escape(&n.label),
+                json::f64(n.us),
+                json::f64(self.share_pct_of(n.us)),
                 n.count
             ));
         }

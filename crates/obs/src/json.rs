@@ -1,19 +1,59 @@
-//! A minimal JSON reader for the golden snapshot files.
+//! The workspace's one JSON module: a strict reader and the writer
+//! primitives.
 //!
-//! The workspace's `serde` is an offline marker stub (no real
-//! serialisation), so the conformance harness carries its own parser for
-//! the small JSON subset the goldens use: objects with string keys,
-//! arrays, strings, numbers, booleans and null. Object key order is
-//! preserved so diffs stay reviewable.
+//! It lives in `obs` because `obs` is the leaf crate every other layer
+//! already depends on (`core`, `conform`, `bench`), so one copy serves
+//! the golden snapshots, the campaign journal, the trace and metrics
+//! exporters, the BENCH files and `obsctl`. There is no external JSON
+//! dependency (the build is offline).
 //!
-//! The parser is total: any input — malformed, truncated mid-token, or
-//! binary garbage — yields a descriptive [`ParseError`] with the byte
-//! offset of the first problem, never a panic. [`parse_file`] adds the
-//! file path, so a corrupted golden reports as
-//! `goldens/t3.json: byte 124: expected ',' or '}'`.
+//! **Writing** is done by each output's own `format!` layout, so every
+//! golden and journal byte stays under its writer's control; [`escape`]
+//! and [`f64`] are the two shared primitives.
+//!
+//! **Reading** covers the subset the outputs use: objects with string
+//! keys, arrays, strings, numbers, booleans and null. Object key order is
+//! preserved so diffs stay reviewable. The parser is total: any input —
+//! malformed, truncated mid-token, or binary garbage — yields a
+//! descriptive [`ParseError`] with the byte offset of the first problem,
+//! never a panic. [`parse_file`] adds the file path, so a corrupted
+//! golden reports as `goldens/t3.json: byte 124: expected ',' or '}'`.
 
 use std::fmt;
 use std::path::Path;
+
+/// Escape a string for embedding in a JSON string literal: quotes,
+/// backslashes and control characters; everything else is copied as is.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Render an `f64` for JSON: Rust's shortest round-trip formatting, with
+/// non-finite values (never produced by the simulator, but the writer must
+/// still emit valid JSON) mapped to `null` and large sentinels.
+pub fn f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else if v.is_nan() {
+        "null".to_string()
+    } else if v > 0.0 {
+        "1e308".to_string()
+    } else {
+        "-1e308".to_string()
+    }
+}
 
 /// A parse failure: what went wrong and where.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,6 +318,30 @@ mod tests {
     use super::*;
 
     #[test]
+    fn escape_handles_controls_and_quotes() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn escaped_strings_parse_back() {
+        let s = "tab\t quote \" ctrl \u{1f} é";
+        assert_eq!(
+            parse(&format!("\"{}\"", escape(s))).unwrap().as_str(),
+            Some(s)
+        );
+    }
+
+    #[test]
+    fn f64_is_shortest_round_trip() {
+        assert_eq!(f64(1.5), "1.5");
+        assert_eq!(f64(0.0), "0");
+        assert_eq!(f64(f64::NAN), "null");
+        assert_eq!(f64(f64::INFINITY), "1e308");
+        assert_eq!(f64(f64::NEG_INFINITY), "-1e308");
+    }
+
+    #[test]
     fn parses_nested_document() {
         let v = parse(
             r#"{"id": "t3", "tol": 0.02, "rows": [["a", "1"], ["b", "-2.5"]],
@@ -295,23 +359,6 @@ mod tests {
     fn parses_escapes() {
         let v = parse(r#""quote \" slash \\ newline \n unicode é""#).unwrap();
         assert_eq!(v.as_str(), Some("quote \" slash \\ newline \n unicode é"));
-    }
-
-    #[test]
-    fn round_trips_core_table_json() {
-        use a64fx_core::Table;
-        let mut t = Table::new("T9", "demo — dash", &["sys", "val"]);
-        t.push_row(vec!["A64FX".into(), "38.26 / 36.90 (0.96x)".into()]);
-        t.note("a \"quoted\" note");
-        let v = parse(&t.to_json(&[("tolerances", "[0, 0.02]".into())])).unwrap();
-        assert_eq!(v.get("id").unwrap().as_str(), Some("T9"));
-        assert_eq!(v.get("title").unwrap().as_str(), Some("demo — dash"));
-        assert_eq!(
-            v.get("notes").unwrap().as_str_vec().unwrap(),
-            vec!["a \"quoted\" note"]
-        );
-        let tols = v.get("tolerances").unwrap().as_arr().unwrap();
-        assert_eq!(tols[1].as_f64(), Some(0.02));
     }
 
     #[test]
@@ -388,16 +435,16 @@ mod tests {
     #[test]
     fn parse_file_reports_path_and_offset() {
         let dir = std::env::temp_dir();
-        let path = dir.join("conform_json_negative_test.json");
+        let path = dir.join("obs_json_negative_test.json");
         std::fs::write(&path, "{\"id\": \"T1\"").unwrap();
         let e = parse_file(&path).unwrap_err();
         assert!(
-            e.contains("conform_json_negative_test.json") && e.contains("byte"),
+            e.contains("obs_json_negative_test.json") && e.contains("byte"),
             "{e}"
         );
         std::fs::remove_file(&path).ok();
-        let missing = dir.join("conform_json_no_such_file.json");
+        let missing = dir.join("obs_json_no_such_file.json");
         let e = parse_file(&missing).unwrap_err();
-        assert!(e.contains("conform_json_no_such_file.json"), "{e}");
+        assert!(e.contains("obs_json_no_such_file.json"), "{e}");
     }
 }

@@ -28,6 +28,11 @@
 //! formatting — so the same seed and thread count produce byte-identical
 //! trace and snapshot files on every run.
 //!
+//! The crate also holds [`json`], the workspace's one JSON reader and its
+//! writer primitives: `obs` is the leaf crate every other layer depends
+//! on, so the exporters here, the goldens, the campaign journal and the
+//! BENCH files all share one copy.
+//!
 //! Instrumented code uses the ambient API:
 //!
 //! ```
@@ -47,6 +52,7 @@
 
 pub mod analyze;
 mod chrome;
+pub mod json;
 mod mem;
 mod metrics;
 
@@ -178,40 +184,6 @@ pub fn observe(hist: &str, value: f64) {
     with(|r| r.observe(hist, value));
 }
 
-/// Escape a string for embedding in a JSON string literal. Shared by the
-/// Chrome-trace and snapshot writers (the workspace `serde` is an offline
-/// marker stub, so `obs` carries its own serialisation).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an `f64` for JSON: Rust's shortest round-trip formatting, with
-/// non-finite values (never produced by the simulator, but the writer must
-/// still emit valid JSON) mapped to large sentinels.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "null".to_string()
-    } else if v > 0.0 {
-        "1e308".to_string()
-    } else {
-        "-1e308".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,20 +244,5 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(!enabled(), "panic must not leak the installed recorder");
-    }
-
-    #[test]
-    fn json_escape_handles_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn json_f64_is_shortest_round_trip() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(0.0), "0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "1e308");
-        assert_eq!(json_f64(f64::NEG_INFINITY), "-1e308");
     }
 }

@@ -17,8 +17,8 @@ fn own_attrs(attrs: &[(&str, AttrValue)]) -> Vec<OwnedAttr> {
         .map(|(k, v)| {
             let rendered = match v {
                 AttrValue::U64(u) => u.to_string(),
-                AttrValue::F64(f) => crate::json_f64(*f),
-                AttrValue::Str(s) => format!("\"{}\"", crate::json_escape(s)),
+                AttrValue::F64(f) => crate::json::f64(*f),
+                AttrValue::Str(s) => format!("\"{}\"", crate::json::escape(s)),
             };
             (k.to_string(), rendered)
         })

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{json_escape, json_f64};
+use crate::json;
 
 /// Number of histogram buckets. Bucket `i` (for `i >= 1`) holds values
 /// whose integer part `u` satisfies `2^(i-1) <= u < 2^i`; bucket 0 holds
@@ -240,8 +240,8 @@ impl Registry {
         for (k, v) in meta {
             out.push_str(&format!(
                 "  \"{}\": \"{}\",\n",
-                json_escape(k),
-                json_escape(v)
+                json::escape(k),
+                json::escape(v)
             ));
         }
         out.push_str("  \"counters\": {");
@@ -251,7 +251,7 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(k), v));
+            out.push_str(&format!("\n    \"{}\": {}", json::escape(k), v));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
         out.push_str("  \"gauges\": {");
@@ -261,7 +261,7 @@ impl Registry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    \"{}\": {}", json_escape(k), json_f64(*v)));
+            out.push_str(&format!("\n    \"{}\": {}", json::escape(k), json::f64(*v)));
         }
         out.push_str(if first { "},\n" } else { "\n  },\n" });
         out.push_str("  \"histograms\": {");
@@ -273,16 +273,16 @@ impl Registry {
             first = false;
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {}, \"sum\": {}, ",
-                json_escape(k),
+                json::escape(k),
                 h.count,
-                json_f64(h.sum)
+                json::f64(h.sum)
             ));
             if percentiles {
                 out.push_str(&format!(
                     "\"p50\": {}, \"p95\": {}, \"p99\": {}, ",
-                    json_f64(h.p50()),
-                    json_f64(h.p95()),
-                    json_f64(h.p99())
+                    json::f64(h.p50()),
+                    json::f64(h.p95()),
+                    json::f64(h.p99())
                 ));
             }
             out.push_str("\"buckets\": {");
@@ -318,7 +318,7 @@ impl Registry {
         }
         for (k, v) in &self.gauges {
             let name = sanitize_metric_name(k);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", json_f64(*v)));
+            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", json::f64(*v)));
         }
         for (k, h) in &self.histograms {
             let name = sanitize_metric_name(k);
@@ -329,11 +329,11 @@ impl Registry {
                 cum += c;
                 out.push_str(&format!(
                     "{name}_bucket{{le=\"{}\"}} {cum}\n",
-                    json_f64(Histogram::bucket_upper_bound(i))
+                    json::f64(Histogram::bucket_upper_bound(i))
                 ));
             }
             out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{name}_sum {}\n", json_f64(h.sum)));
+            out.push_str(&format!("{name}_sum {}\n", json::f64(h.sum)));
             out.push_str(&format!("{name}_count {}\n", h.count));
         }
         out

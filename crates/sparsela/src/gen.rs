@@ -167,12 +167,6 @@ pub fn structural3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     CsrMatrix::from_coo(n, n, entries)
 }
 
-/// Average non-zeros per row of the `structural3d` family at large scale
-/// (interior nodes: 27 neighbour nodes × 3 DoF couplings per DoF = 81).
-pub fn structural3d_nnz_per_row_interior() -> f64 {
-    81.0
-}
-
 /// A grid shape whose `structural3d` matrix approximates `Benchmark1`'s DoF
 /// count: 147×147×147 nodes × 3 DoF = 9,529,569 ≈ 9,573,984.
 pub fn benchmark1_equivalent_grid() -> (usize, usize, usize) {

@@ -41,5 +41,5 @@ pub mod symgs;
 pub use cg::{cg_solve, pcg_solve, CgResult};
 pub use csr::CsrMatrix;
 pub use densela::pool::{KernelPool, SharedSlice};
-pub use parallel::{SpawnTeam, Team};
+pub use parallel::Team;
 pub use partition::{Block3d, Partition3d, RowPartition};

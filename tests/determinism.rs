@@ -77,10 +77,18 @@ fn experiment_results_stable_across_invocations() {
 fn pooled_team_reductions_repeat_at_fixed_thread_counts() {
     let a = stencil27(10, 10, 10);
     let x: Vec<f64> = (0..a.cols()).map(|i| (i as f64 * 0.31).cos()).collect();
+    let resolve_threads = |explicit| {
+        runner::resolve(
+            explicit,
+            "A64FX_REPRO_THREADS",
+            runner::parse_threads,
+            densela::pool::available_parallelism,
+        )
+    };
     let mut baselines: Vec<(usize, u64, u64)> = Vec::new();
     for threads in [2usize, 4] {
         std::env::set_var("A64FX_REPRO_THREADS", threads.to_string());
-        let resolved = runner::resolve_threads(None);
+        let resolved = resolve_threads(None);
         assert_eq!(resolved, threads, "env var must size the team");
         // Cutover disabled: the 10^3 fixture sits below the default
         // small-kernel serial cutover, and the promise under test is the
@@ -109,7 +117,7 @@ fn pooled_team_reductions_repeat_at_fixed_thread_counts() {
     }
     std::env::remove_var("A64FX_REPRO_THREADS");
     // An explicit request still beats the (now absent) environment.
-    assert_eq!(runner::resolve_threads(Some(3)), 3);
+    assert_eq!(resolve_threads(Some(3)), 3);
     // Distinct counts may legitimately reassociate differently; what this
     // test pins is that each fixed count is self-consistent.
     assert_eq!(baselines.len(), 2);
