@@ -16,10 +16,11 @@
 //! baselines taken under different block/chunk parameters.
 //!
 //! It then times one full repro run — every experiment through the
-//! isolated runner, trace cache on — and writes `BENCH_repro.json` (or the
-//! path given as the second argument): wall seconds, per-experiment
-//! seconds, trace-cache counters (hits, misses, inserts, LRU evictions
-//! and disk-tier loads/stores/corruptions), collective-cache counters,
+//! isolated runner, under the resolved run configuration — and writes
+//! `BENCH_repro.json` (or the path given as the second argument): wall
+//! seconds, per-experiment seconds, trace-cache counters (hits, misses,
+//! inserts, LRU evictions and disk-tier loads/stores/corruptions),
+//! collective-cache counters,
 //! campaign counters (journal records, resumes, retries), and a DES
 //! drain microbench (events popped per second through a pre-sized
 //! [`netsim::des::EventQueue`]).
@@ -40,15 +41,19 @@
 //! `ecm` job uses.
 //!
 //! Each timing is the best of a few repetitions of `std::time::Instant`
-//! around the kernel. Every file opens with a `"config"` header (git
-//! revision, DES backend, pricing backend, worker threads) so `obsctl
-//! diff` can refuse comparisons across mismatched configurations, and
+//! around the kernel. The run configuration is resolved once from the
+//! `A64FX_*` environment (`RunConfig::resolve`) and installed for the
+//! whole run; every file opens with a `"config"` header built from that
+//! same value (git revision, DES backend, pricing backend, worker
+//! threads) so `obsctl diff` can refuse comparisons across mismatched
+//! configurations, and
 //! records `available_parallelism` so readers can judge the numbers: on a
 //! single-core host the pooled kernels cannot beat serial. The kernel file also
 //! records the team's `serial_cutover_ops` — kernels below it run inline
 //! (the small-kernel regression fix), so their pooled and serial columns
 //! should read within noise of each other.
 
+use a64fx_core::runner::RunConfig;
 use sparsela::coloring::Coloring;
 use sparsela::ell::SellMatrix;
 use sparsela::gen::stencil27;
@@ -173,24 +178,20 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// Time one full repro run (all experiments through the isolated runner,
-/// trace cache on) and write the result as JSON to `path`.
-fn bench_repro(path: &str) {
+/// under `run`) and write the result as JSON to `path`.
+fn bench_repro(path: &str, run: &RunConfig) {
     use a64fx_core::{campaign, runner, tracecache};
     use simmpi::collcache;
 
-    let threads = a64fx_bench::config::threads();
-    eprintln!("timing full repro suite ({threads} worker threads)...");
+    eprintln!(
+        "timing full repro suite ({} worker threads)...",
+        run.threads
+    );
     let trace0 = tracecache::stats();
     let coll0 = collcache::stats();
     let camp0 = campaign::stats();
     let t0 = Instant::now();
-    let deadline = runner::resolve(
-        None,
-        "A64FX_DEADLINE_SECS",
-        |raw| runner::parse_deadline_secs(raw).map(std::time::Duration::from_secs),
-        || runner::DEFAULT_DEADLINE,
-    );
-    let outcomes = runner::run_all_isolated(threads, deadline);
+    let outcomes = runner::run_all_isolated(run);
     let wall_s = t0.elapsed().as_secs_f64();
     let trace1 = tracecache::stats();
     let coll1 = collcache::stats();
@@ -224,7 +225,8 @@ fn bench_repro(path: &str) {
 
     let json = format!(
         "{{\n  \"config\": {cfg},\n  \"threads\": {threads},\n  \"available_parallelism\": {ap},\n  \"wall_s\": {wall_s:.3},\n  \"experiments\": {nexp},\n  \"failed\": {failed},\n  \"trace_cache\": {{\"hits\": {th}, \"misses\": {tm}, \"inserts\": {ti}, \"evictions\": {te}, \"disk_loads\": {tdl}, \"disk_stores\": {tds}, \"disk_corrupt\": {tdc}}},\n  \"collective_cache\": {{\"hits\": {ch}, \"misses\": {cm}, \"evictions\": {ce}}},\n  \"campaign\": {{\"resumed\": {cr}, \"retries\": {crt}, \"journal_records\": {cjr}}},\n  \"des_drain\": {{\"events_popped\": {des_popped}, \"wall_s\": {des_s:.6}}},\n  \"per_experiment\": [\n{per}\n  ]\n}}\n",
-        cfg = a64fx_bench::config::header_json(threads),
+        cfg = a64fx_bench::config::header_json(run),
+        threads = run.threads,
         ap = densela::pool::available_parallelism(),
         nexp = outcomes.len(),
         th = trace1.hits - trace0.hits,
@@ -254,7 +256,7 @@ fn bench_repro(path: &str) {
 /// determinism guarantee, asserted here); events/sec is the figure of
 /// merit. On a single-core host the sharded lanes are oversubscribed —
 /// `available_parallelism` is recorded so readers can judge the numbers.
-fn bench_des(path: &str) {
+fn bench_des(path: &str, run: &RunConfig) {
     use netsim::{DesBackend, Network};
     use simmpi::desval::allreduce_des_stats;
 
@@ -311,7 +313,7 @@ fn bench_des(path: &str) {
     }
     let json = format!(
         "{{\n  \"config\": {cfg},\n  \"bytes\": {DES_BYTES},\n  \"available_parallelism\": {ap},\n  \"runs\": [\n{rows}\n  ]\n}}\n",
-        cfg = a64fx_bench::config::header_json(a64fx_bench::config::threads()),
+        cfg = a64fx_bench::config::header_json(run),
         ap = densela::pool::available_parallelism(),
         rows = entries.join(",\n"),
     );
@@ -327,7 +329,7 @@ fn bench_des(path: &str) {
 /// executors and asserted bit-identical — the byte-stability guarantee
 /// the goldens (and CI's double-run diffs) lean on. `bench_json --ecm
 /// [path]` runs only this part — the fast mode CI's ecm job uses.
-fn bench_ecm(path: &str) {
+fn bench_ecm(path: &str, run: &RunConfig) {
     use a64fx_apps::trace::{Phase, Trace};
     use a64fx_apps::{castep, cosa, hpcg, nekbone, opensbli, KernelClass};
     use a64fx_core::costmodel::{Executor, JobLayout, PricingBackend};
@@ -417,7 +419,7 @@ fn bench_ecm(path: &str) {
     }
     let json = format!(
         "{{\n  \"config\": {cfg},\n  \"system\": \"A64FX\",\n  \"threads_per_rank\": {threads},\n  \"peak_gflops\": {peak_gflops:.2},\n  \"kernels\": [\n{rows}\n  ]\n}}\n",
-        cfg = a64fx_bench::config::header_json(a64fx_bench::config::threads()),
+        cfg = a64fx_bench::config::header_json(run),
         rows = entries.join(",\n"),
     );
     std::fs::write(path, &json).expect("writing the ECM benchmark file failed");
@@ -426,6 +428,13 @@ fn bench_ecm(path: &str) {
 }
 
 fn main() {
+    // Resolved once, installed for the whole run and stamped into every
+    // header, so a BENCH file always says what it measured.
+    let run = RunConfig::resolve(None, None, None, None, None);
+    run.scope(|| bench(&run));
+}
+
+fn bench(run: &RunConfig) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `--des [path]`: only the DES engine benchmark — the fast mode CI's
     // des job uses (no kernel timings, no full repro run).
@@ -434,7 +443,7 @@ fn main() {
             .get(i + 1)
             .cloned()
             .unwrap_or_else(|| "BENCH_des.json".to_string());
-        bench_des(&des_path);
+        bench_des(&des_path, run);
         return;
     }
     // `--ecm [path]`: only the flat-vs-ECM kernel pricing comparison —
@@ -444,7 +453,7 @@ fn main() {
             .get(i + 1)
             .cloned()
             .unwrap_or_else(|| "BENCH_ecm.json".to_string());
-        bench_ecm(&ecm_path);
+        bench_ecm(&ecm_path, run);
         return;
     }
     let path = args
@@ -775,7 +784,10 @@ fn main() {
     let blocked_lines: Vec<String> = blocked_rows.iter().map(BlockedRow::json).collect();
     let json = format!(
         "{{\n  \"config\": {cfg},\n  \"grid\": [{nx}, {ny}, {nz}],\n  \"rows\": {n},\n  \"threads\": {THREADS},\n  \"available_parallelism\": {ap},\n  \"serial_cutover_ops\": {cutover},\n  \"sell\": {{\"c\": {sc}, \"sigma\": {ssig}, \"fill_ratio\": {sfill:.4}}},\n  \"cg_iterations\": {CG_ITERS},\n  \"cg\":\n{cg_line},\n  \"kernels\": [\n{kernels}\n  ],\n  \"blocked\": [\n{blocked}\n  ]\n}}\n",
-        cfg = a64fx_bench::config::header_json(THREADS),
+        cfg = a64fx_bench::config::header_json(&RunConfig {
+            threads: THREADS,
+            ..run.clone()
+        }),
         ap = densela::pool::available_parallelism(),
         cutover = team.serial_cutover_ops(),
         sc = sell.c(),
@@ -789,12 +801,13 @@ fn main() {
     eprintln!("wrote {path}");
     println!("{json}");
 
-    bench_repro(&repro_path);
-    bench_des(&des_path);
+    bench_repro(&repro_path, run);
+    bench_des(&des_path, run);
     bench_ecm(
         &args
             .get(3)
             .cloned()
             .unwrap_or_else(|| "BENCH_ecm.json".to_string()),
+        run,
     );
 }

@@ -8,10 +8,10 @@
 //! -- --all`).
 //!
 //! This library is the gate machinery: [`config`] stamps every
-//! `BENCH_*.json` with the run configuration (git revision, DES backend,
-//! pricing backend, worker threads) so comparisons across mismatched setups
-//! can be refused, and [`obsdiff`] is the deterministic comparator CI runs
-//! as a perf gate. JSON is read with `obs::json`.
+//! `BENCH_*.json` with the run configuration it measured (git revision,
+//! DES backend, pricing backend, worker threads) so comparisons across
+//! mismatched setups can be refused, and [`obsdiff`] is the deterministic
+//! comparator CI runs as a perf gate. JSON is read with `obs::json`.
 
 pub mod config {
     //! The run-configuration header every `BENCH_*.json` carries.
@@ -24,7 +24,7 @@ pub mod config {
     //! parallelism are recorded for provenance but excluded from the
     //! match — comparing across revisions is the whole point of a gate).
 
-    use a64fx_core::runner;
+    use a64fx_core::runner::RunConfig;
 
     /// The git revision of the working tree, via `git rev-parse HEAD`.
     /// Falls back to `"unknown"` outside a git checkout (e.g. a source
@@ -42,48 +42,38 @@ pub mod config {
     }
 
     /// The `"config"` object (one JSON fragment, no trailing newline)
-    /// recorded in every benchmark file: git revision plus the four
-    /// resolved knobs that make two runs comparable. `threads` is the
-    /// worker count the caller actually used for the timed region;
-    /// `tiling` is the compiled-in block/chunk parameter set
-    /// ([`densela::block::tiling_id`]) — numbers taken under different
-    /// tiling measure different inner loops, so `obsctl diff` refuses
-    /// differently-tiled baselines like any other config mismatch.
-    pub fn header_json(threads: usize) -> String {
-        use a64fx_core::costmodel::PricingBackend;
-        use netsim::DesBackend;
+    /// recorded in every benchmark file: git revision plus the knobs of
+    /// `run`, the configuration the timed region ran under, so the stamp
+    /// always matches what ran. `run.threads` is the worker count the
+    /// timed region used; `tiling` is the compiled-in block/chunk
+    /// parameter set ([`densela::block::tiling_id`]) — numbers taken
+    /// under different tiling measure different inner loops, so
+    /// `obsctl diff` refuses differently-tiled baselines like any other
+    /// config mismatch.
+    pub fn header_json(run: &RunConfig) -> String {
         format!(
-            "{{\"git_sha\": \"{}\", \"des_backend\": \"{}\", \"pricing\": \"{}\", \"tiling\": \"{}\", \"threads\": {threads}}}",
+            "{{\"git_sha\": \"{}\", \"des_backend\": \"{}\", \"pricing\": \"{}\", \"tiling\": \"{}\", \"threads\": {}}}",
             git_sha(),
-            runner::resolve(None, "A64FX_DES_BACKEND", DesBackend::parse, || {
-                DesBackend::Serial
-            }),
-            runner::resolve(None, "A64FX_PRICING", PricingBackend::parse, || {
-                PricingBackend::Flat
-            }),
+            run.des_backend,
+            run.pricing,
             densela::block::tiling_id(),
-        )
-    }
-
-    /// The experiment runner's worker count, resolved as `repro` resolves
-    /// it without a `--threads` flag: `A64FX_REPRO_THREADS`, then
-    /// `available_parallelism`.
-    pub fn threads() -> usize {
-        runner::resolve(
-            None,
-            "A64FX_REPRO_THREADS",
-            runner::parse_threads,
-            densela::pool::available_parallelism,
+            run.threads,
         )
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use a64fx_core::costmodel::PricingBackend;
+        use a64fx_core::{experiments, runner};
 
         #[test]
         fn header_is_valid_json_with_the_five_keys() {
-            let doc = obs::json::parse(&header_json(3)).unwrap();
+            let run = RunConfig {
+                threads: 3,
+                ..RunConfig::default()
+            };
+            let doc = obs::json::parse(&header_json(&run)).unwrap();
             for key in ["git_sha", "des_backend", "pricing", "tiling"] {
                 assert!(doc.get(key).and_then(|v| v.as_str()).is_some(), "{key}");
             }
@@ -93,6 +83,22 @@ pub mod config {
                 Some(densela::block::tiling_id().as_str()),
                 "the header must stamp the compiled-in tiling"
             );
+        }
+
+        #[test]
+        fn header_stamps_the_pricing_the_run_used() {
+            let ecm = RunConfig {
+                pricing: PricingBackend::Ecm,
+                ..RunConfig::default()
+            };
+            let doc = obs::json::parse(&header_json(&ecm)).unwrap();
+            assert_eq!(doc.get("pricing").and_then(|v| v.as_str()), Some("ecm"));
+            // A run under the same config prices with ECM: its table is
+            // the ECM one, not the flat one.
+            let t3 = || experiments::run_one("t3").expect("t3 exists");
+            let ran = runner::run_isolated("t3", &ecm, t3).result.unwrap();
+            assert_eq!(ran, ecm.scope(t3));
+            assert_ne!(ran, t3(), "flat and ECM pricing must differ on T3");
         }
     }
 }

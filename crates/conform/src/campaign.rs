@@ -24,8 +24,10 @@ use std::time::Duration;
 
 use a64fx_apps::nekbone::NekboneConfig;
 use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd, Journal, RetryPolicy};
+use a64fx_core::chaos;
 use a64fx_core::report::Table;
-use a64fx_core::{chaos, tracecache};
+use a64fx_core::runner::RunConfig;
+use a64fx_core::tracecache::TraceCache;
 
 /// Fixed chaos seed pinned by this suite (and re-used by CI's double-run
 /// diff).
@@ -82,7 +84,11 @@ pub fn run() -> (Table, Vec<String>) {
         ),
         failures: Vec::new(),
     };
-    let cfg = CampaignConfig::new(1, Duration::from_secs(60));
+    let cfg = CampaignConfig::new(RunConfig {
+        threads: 1,
+        deadline: Duration::from_secs(60),
+        ..RunConfig::default()
+    });
 
     // 1. Journal records survive round-trip exactly.
     {
@@ -190,7 +196,7 @@ pub fn run() -> (Table, Vec<String>) {
             let clean_merged = campaign::merged_json(&clean.outcomes);
             let kill_cfg = CampaignConfig {
                 stop_after_records: Some(2),
-                ..cfg
+                ..cfg.clone()
             };
             let killed = campaign::run_campaign_with(
                 &IDS,
@@ -245,7 +251,7 @@ pub fn run() -> (Table, Vec<String>) {
             });
             let retry_cfg = CampaignConfig {
                 retry: RetryPolicy::with_retries(1, Duration::ZERO),
-                ..cfg
+                ..cfg.clone()
             };
             let flaky_run = campaign::run_campaign_with(&IDS, flaky, &retry_cfg, None, false)
                 .map_err(|e| e.to_string())?;
@@ -275,8 +281,6 @@ pub fn run() -> (Table, Vec<String>) {
     // 5. A thrashing LRU trace cache is bit-transparent.
     {
         let check = || -> Result<String, String> {
-            let _g = tracecache::override_lock();
-            tracecache::set_enabled(true);
             let configs: Vec<NekboneConfig> = (0..4)
                 .map(|i| NekboneConfig {
                     elements_per_rank: 53 + 2 * i,
@@ -291,32 +295,25 @@ pub fn run() -> (Table, Vec<String>) {
                 .map(|c| a64fx_apps::nekbone::trace(*c, ranks))
                 .collect();
             // Cap to roughly one trace: every fetch cycle evicts.
-            let one = reference[0].approx_bytes() + 16;
-            tracecache::set_capacity(Some(one));
-            tracecache::clear();
-            let before = tracecache::stats();
+            let cache = TraceCache::new(reference[0].approx_bytes() + 16, None);
             let mut mismatches = 0;
-            for round in 0..3 {
-                for (i, c) in configs.iter().enumerate() {
-                    let got = tracecache::nekbone(*c, ranks);
-                    if *got != reference[i] {
+            for _round in 0..3 {
+                for (c, want) in configs.iter().zip(&reference) {
+                    let got = cache.fetch(c, ranks, || a64fx_apps::nekbone::trace(*c, ranks));
+                    if *got != *want {
                         mismatches += 1;
                     }
-                    let _ = round;
                 }
             }
-            let after = tracecache::stats();
-            tracecache::set_capacity(None);
-            tracecache::clear_override();
+            let evictions = cache.stats().evictions;
             if mismatches > 0 {
                 return Err(format!("{mismatches} evicted fetch(es) served wrong bytes"));
             }
-            if after.evictions <= before.evictions {
+            if evictions == 0 {
                 return Err("capacity bound never evicted — check not exercised".into());
             }
             Ok(format!(
-                "{} evictions, all fetches bit-equal to direct builds",
-                after.evictions - before.evictions
+                "{evictions} evictions, all fetches bit-equal to direct builds"
             ))
         };
         chk.record(

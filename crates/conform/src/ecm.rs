@@ -13,15 +13,14 @@
 //!    strictly cheaper — while the working set is L1-resident.
 //! 2. **Determinism.** E1 rendered twice must be byte-identical.
 //! 3. **Default-invariance.** E1 is built from explicit backends, so
-//!    flipping the installed process default (`--pricing` /
+//!    running it under either run pricing (`--pricing` /
 //!    `A64FX_PRICING`) must not move a byte of it — the guarantee that
 //!    keeps every pre-existing golden stable under the flat default.
 
 use a64fx_apps::KernelClass;
-use a64fx_core::costmodel::{
-    default_pricing, set_default_pricing, Executor, JobLayout, PricingBackend,
-};
+use a64fx_core::costmodel::{Executor, JobLayout, PricingBackend};
 use a64fx_core::experiments::ecm::e1;
+use a64fx_core::runner::RunConfig;
 use a64fx_core::Table;
 use archsim::{paper_toolchain, system, SystemId};
 use densela::Work;
@@ -151,14 +150,17 @@ pub fn run() -> (Table, Vec<String>) {
         },
     ]);
 
-    // 3. Default-invariance: flipping the installed pricing default must
-    // not move a byte of E1 (it is built from explicit backends).
-    let prev = default_pricing();
-    set_default_pricing(PricingBackend::Ecm);
-    let under_ecm = e1().render();
-    set_default_pricing(PricingBackend::Flat);
-    let under_flat = e1().render();
-    set_default_pricing(prev);
+    // 3. Default-invariance: the run's pricing backend must not move a
+    // byte of E1 (it is built from explicit backends).
+    let under = |pricing| {
+        RunConfig {
+            pricing,
+            ..RunConfig::default()
+        }
+        .scope(|| e1().render())
+    };
+    let under_ecm = under(PricingBackend::Ecm);
+    let under_flat = under(PricingBackend::Flat);
     let invariant = under_ecm == first && under_flat == first;
     if !invariant {
         failures.push(

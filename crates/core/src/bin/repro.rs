@@ -33,29 +33,31 @@
 //!   resume correctness (each record is fsynced before it counts, so
 //!   this is equivalent to a SIGKILL landing after the nth append).
 //!
-//! `--threads N` (anywhere on the command line) bounds the experiment
-//! runner's worker team; the `A64FX_REPRO_THREADS` environment variable is
-//! the fallback (invalid values warn and are ignored), and the default is
-//! `available_parallelism`.
+//! Run settings (anywhere on the command line) are resolved once into
+//! one `runner::RunConfig`: the flag wins, then its environment variable
+//! (invalid values warn on stderr and are ignored), then the default.
+//! That config is passed to the runner and the campaign, which install it
+//! on every experiment thread, and is installed around the single-run
+//! modes — nothing is set process-wide.
 //!
-//! `--des-backend serial|sharded<N>` (anywhere on the command line)
-//! selects the discrete-event engine for DES-routed experiments (e.g.
-//! D1); the `A64FX_DES_BACKEND` environment variable is the fallback
-//! (invalid values warn and are ignored), and the default is `serial`.
-//! Serial and sharded runs are byte-identical — the sharded engine only
-//! changes wall-clock time at scale.
-//!
-//! `--pricing flat|ecm` (anywhere on the command line) selects the
-//! kernel-pricing backend for compute phases; the `A64FX_PRICING`
-//! environment variable is the fallback (invalid values warn and are
-//! ignored), and the default is `flat` — byte-identical to every pre-ECM
-//! release. `ecm` routes the memory side of each kernel through the
-//! cache-hierarchy ECM model (`archsim::ecm`).
-//!
-//! `--no-cache` (anywhere on the command line) disables the process-wide
-//! trace cache (`a64fx_core::tracecache`); `A64FX_TRACE_CACHE=off` is the
-//! environment equivalent. Reports are byte-identical either way — the
-//! cache only skips rebuilding identical app traces.
+//! * `--threads N` / `A64FX_REPRO_THREADS` bounds the experiment
+//!   runner's worker team (default `available_parallelism`).
+//! * `--deadline-secs <n>` / `A64FX_DEADLINE_SECS` sets the
+//!   per-experiment wall-clock deadline (default 600 seconds).
+//! * `--des-backend serial|sharded<N>` / `A64FX_DES_BACKEND` selects the
+//!   discrete-event engine for DES-routed experiments (e.g. D1; default
+//!   `serial`). Serial and sharded runs are byte-identical — the sharded
+//!   engine only changes wall-clock time at scale.
+//! * `--pricing flat|ecm` / `A64FX_PRICING` selects the kernel-pricing
+//!   backend for compute phases (default `flat`, byte-identical to every
+//!   pre-ECM release). `ecm` routes the memory side of each kernel
+//!   through the cache-hierarchy ECM model (`archsim::ecm`).
+//! * `--no-cache` / `A64FX_TRACE_CACHE=off` (`on`/`off`, `1`/`0`,
+//!   `true`/`false`, `yes`/`no`) turns the trace cache
+//!   (`a64fx_core::tracecache`) off. Reports are byte-identical either
+//!   way — the cache only skips rebuilding identical app traces.
+//!   `A64FX_TRACE_CACHE_DIR=<dir>` also persists built traces there and
+//!   reloads them in later runs.
 //!
 //! `--trace-out <file>`, `--metrics-out <file>` and `--attrib-out <file>`
 //! (anywhere on the command line) record the run with an
@@ -65,11 +67,6 @@
 //! (see `obs::analyze`) respectively. They apply to the single-run modes
 //! `--exp`, `--exp-json` and `--timeline`; all files are byte-identical
 //! across repeated runs of the same command.
-//!
-//! `--deadline-secs <n>` (anywhere on the command line) sets the
-//! per-experiment wall-clock deadline; the `A64FX_DEADLINE_SECS`
-//! environment variable is the fallback (invalid values warn and are
-//! ignored), and the default is 600 seconds.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -78,9 +75,8 @@ use std::time::Duration;
 use a64fx_apps::{castep, cosa, hpcg, minikab, nekbone, opensbli};
 use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd, RetryPolicy};
 use a64fx_core::costmodel::{JobLayout, PricingBackend};
-use a64fx_core::{
-    ablations, autotune, chaos, experiments, extensions, runner, timeline, tracecache,
-};
+use a64fx_core::runner::{self, RunConfig};
+use a64fx_core::{ablations, autotune, chaos, experiments, extensions, timeline, tracecache};
 use archsim::{paper_toolchain, system, SystemId};
 
 fn usage() -> ! {
@@ -157,16 +153,6 @@ impl ObsSink {
                 std::process::exit(1);
             }
         }
-    }
-}
-
-/// Strip `--no-cache` out of `args` (wherever it appears); when given,
-/// pin the process-wide trace cache off, so every fetch rebuilds its
-/// trace — the byte-identity escape hatch.
-fn take_no_cache(args: &mut Vec<String>) {
-    if let Some(i) = args.iter().position(|a| a == "--no-cache") {
-        args.remove(i);
-        a64fx_core::tracecache::set_enabled(false);
     }
 }
 
@@ -273,16 +259,17 @@ impl CampaignFlags {
     }
 }
 
-/// Run one experiment under the hardened runner with the sink's recorder
-/// installed on the worker thread, then flush the sink's output files.
-fn run_observed(id: &str, deadline: Duration, sink: &ObsSink) -> runner::ExperimentOutcome {
+/// Run one experiment under the hardened runner with `run` and the sink's
+/// recorder installed on the worker thread, then flush the sink's output
+/// files.
+fn run_observed(id: &str, run: &RunConfig, sink: &ObsSink) -> runner::ExperimentOutcome {
     let id = id.to_ascii_lowercase();
     if !experiments::all_ids().contains(&id.as_str()) {
         eprintln!("unknown experiment '{id}'; try --list");
         std::process::exit(1);
     }
     let body_id = id.clone();
-    let outcome = runner::run_isolated_observed(&id, deadline, sink.recorder(), move || {
+    let outcome = runner::run_isolated_observed(&id, run, sink.recorder(), move || {
         experiments::run_one(&body_id).expect("id validated above")
     });
     sink.flush(&[("experiment", id)]);
@@ -291,58 +278,35 @@ fn run_observed(id: &str, deadline: Duration, sink: &ObsSink) -> runner::Experim
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    take_no_cache(&mut args);
-    // Each setting resolves flag, then environment variable (invalid values
-    // warn and are ignored), then default.
-    let threads = runner::resolve(
+    let no_cache = take_flag(&mut args, "--no-cache");
+    let parse_deadline = |raw: &str| runner::parse_deadline_secs(raw).map(Duration::from_secs);
+    let run = RunConfig::resolve(
         take_parsed(
             &mut args,
             "--threads",
             "a positive integer",
             runner::parse_threads,
         ),
-        "A64FX_REPRO_THREADS",
-        runner::parse_threads,
-        densela::pool::available_parallelism,
-    );
-    let parse_deadline = |raw: &str| runner::parse_deadline_secs(raw).map(Duration::from_secs);
-    let deadline = runner::resolve(
         take_parsed(
             &mut args,
             "--deadline-secs",
             "a positive integer of seconds",
             parse_deadline,
         ),
-        "A64FX_DEADLINE_SECS",
-        parse_deadline,
-        || runner::DEFAULT_DEADLINE,
-    );
-    // The DES and pricing backends are installed process-wide, so every
-    // DES-routed experiment and every executor built without an explicit
-    // backend picks them up. Serial and sharded runs are byte-identical,
-    // and the flat default is byte-identical to every pre-ECM release.
-    netsim::shard::set_default_backend(runner::resolve(
         take_parsed(
             &mut args,
             "--des-backend",
             "'serial' or 'sharded<N>'",
             netsim::DesBackend::parse,
         ),
-        "A64FX_DES_BACKEND",
-        netsim::DesBackend::parse,
-        || netsim::DesBackend::Serial,
-    ));
-    a64fx_core::costmodel::set_default_pricing(runner::resolve(
         take_parsed(
             &mut args,
             "--pricing",
             "'flat' or 'ecm'",
             PricingBackend::parse,
         ),
-        "A64FX_PRICING",
-        PricingBackend::parse,
-        || PricingBackend::Flat,
-    ));
+        no_cache.then_some(false),
+    );
     let sink = ObsSink::take(&mut args);
     let cflags = CampaignFlags::take(&mut args);
     if sink.is_some()
@@ -360,11 +324,16 @@ fn main() {
         eprintln!("--journal/--resume/--retries/--exp-json-out/--kill-after apply to --all");
         std::process::exit(2);
     }
+    run.scope(|| dispatch(&args, &run, sink.as_ref(), &cflags));
+}
+
+/// Run the mode `args` selects under `run`, which the caller has
+/// installed as this thread's scope.
+fn dispatch(args: &[String], run: &RunConfig, sink: Option<&ObsSink>, cflags: &CampaignFlags) {
     match args.first().map(String::as_str) {
         Some("--all") | None => {
             let cfg = CampaignConfig {
-                workers: threads,
-                deadline,
+                run: run.clone(),
                 retry: cflags.retry,
                 stop_after_records: cflags.kill_after,
             };
@@ -429,9 +398,9 @@ fn main() {
         }
         Some("--exp") => {
             let id = args.get(1).unwrap_or_else(|| usage());
-            match &sink {
+            match sink {
                 Some(s) => {
-                    let o = run_observed(id, deadline, s);
+                    let o = run_observed(id, run, s);
                     println!("{}", o.render());
                     if o.failed() {
                         std::process::exit(1);
@@ -448,9 +417,9 @@ fn main() {
         }
         Some("--exp-json") => {
             let id = args.get(1).unwrap_or_else(|| usage());
-            match &sink {
+            match sink {
                 Some(s) => {
-                    let o = run_observed(id, deadline, s);
+                    let o = run_observed(id, run, s);
                     match &o.result {
                         Ok(t) => println!("{}", t.to_json(&[])),
                         Err(_) => {
@@ -524,7 +493,7 @@ fn main() {
                 eprintln!("the paper did not run {app} on {sys_name}");
                 std::process::exit(1);
             };
-            let entries = match &sink {
+            let entries = match sink {
                 Some(s) => {
                     let entries = obs::with_recorder(s.recorder(), || {
                         timeline::iteration_timeline(&spec, &tc, &trace, layout)

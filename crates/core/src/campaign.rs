@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use crate::experiments;
 use crate::report::Table;
-use crate::runner;
+use crate::runner::{self, RunConfig};
 use crate::tracecache::Fnv1a;
 use obs::json::{self, Value};
 
@@ -370,13 +370,14 @@ impl Journal {
 
 // ---- campaign execution ---------------------------------------------------
 
-/// How a campaign runs: worker count, per-experiment deadline, retry.
-#[derive(Debug, Clone, Copy)]
+/// How a campaign runs: the run configuration (worker count,
+/// per-experiment deadline and the scope every experiment runs under),
+/// retry and the kill hook.
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Worker threads (clamped to at least 1).
-    pub workers: usize,
-    /// Per-experiment wall-clock deadline.
-    pub deadline: Duration,
+    /// The run configuration; `run.threads` workers (clamped to at
+    /// least 1) each run experiments under `run`'s scope.
+    pub run: RunConfig,
     /// Retry policy for failed experiments.
     pub retry: RetryPolicy,
     /// Stop scheduling new work once this many records have been
@@ -387,11 +388,10 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A sensible default: given workers/deadline, no retry, no kill.
-    pub fn new(workers: usize, deadline: Duration) -> Self {
+    /// A sensible default: the given run configuration, no retry, no kill.
+    pub fn new(run: RunConfig) -> Self {
         CampaignConfig {
-            workers,
-            deadline,
+            run,
             retry: RetryPolicy::no_retry(),
             stop_after_records: None,
         }
@@ -459,7 +459,7 @@ pub fn run_with_retry(
     loop {
         let body = Arc::clone(body);
         let tid = id.to_string();
-        let mut outcome = runner::run_isolated(id, cfg.deadline, move || body(&tid));
+        let mut outcome = runner::run_isolated(id, &cfg.run, move || body(&tid));
         outcome.attempts = attempt;
         if !outcome.failed() || attempt >= cfg.retry.max_attempts.max(1) {
             return outcome;
@@ -552,7 +552,7 @@ pub fn run_campaign_with(
         pending.iter().map(|_| Mutex::new(None)).collect();
     let journal_mx = Mutex::new((journal.take(), 0u64, false)); // (journal, appended, killed)
     let next = AtomicUsize::new(0);
-    let workers = cfg.workers.clamp(1, pending.len().max(1));
+    let workers = cfg.run.threads.clamp(1, pending.len().max(1));
     let mut io_error: Option<std::io::Error> = None;
     if !pending.is_empty() {
         let io_errors: Mutex<Vec<std::io::Error>> = Mutex::new(Vec::new());
@@ -719,6 +719,15 @@ mod tests {
         Arc::new(|id: &str| demo_table(id))
     }
 
+    /// One worker, a 30 s deadline, no retry.
+    fn one_worker() -> CampaignConfig {
+        CampaignConfig::new(RunConfig {
+            threads: 1,
+            deadline: Duration::from_secs(30),
+            ..RunConfig::default()
+        })
+    }
+
     #[test]
     fn record_lines_round_trip_through_seal_and_parse() {
         let rec = JournalRecord {
@@ -875,7 +884,7 @@ mod tests {
         assert_eq!(loaded.records[1].attempts, 2);
         assert!(!loaded.records[1].ok);
         // ...and resuming reproduces an uninterrupted run byte for byte.
-        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        let cfg = one_worker();
         let resumed = run_campaign_with(&ids, demo_body(), &cfg, Some(&path), true).unwrap();
         let clean_path = tmp("v1-clean");
         let clean = run_campaign_with(&ids, demo_body(), &cfg, Some(&clean_path), false).unwrap();
@@ -905,7 +914,7 @@ mod tests {
         assert_eq!(loaded.records[1].id, "b");
         assert!(!loaded.warnings.is_empty());
         // Resuming truncates the tail and the campaign re-runs only "c".
-        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        let cfg = one_worker();
         let result = run_campaign_with(&ids, demo_body(), &cfg, Some(&path), true).unwrap();
         assert_eq!(result.end, CampaignEnd::Completed);
         assert_eq!(result.outcomes.len(), 3);
@@ -921,7 +930,7 @@ mod tests {
 
     #[test]
     fn kill_and_resume_is_byte_identical_to_uninterrupted() {
-        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        let cfg = one_worker();
         let ids = ["a", "b", "c", "d"];
         // Uninterrupted reference.
         let clean_path = tmp("clean");
@@ -931,7 +940,7 @@ mod tests {
         let killed_path = tmp("killed");
         let kill_cfg = CampaignConfig {
             stop_after_records: Some(2),
-            ..cfg
+            ..cfg.clone()
         };
         let killed =
             run_campaign_with(&ids, demo_body(), &kill_cfg, Some(&killed_path), false).unwrap();
@@ -966,7 +975,7 @@ mod tests {
         });
         let cfg = CampaignConfig {
             retry: RetryPolicy::with_retries(2, Duration::ZERO),
-            ..CampaignConfig::new(1, Duration::from_secs(30))
+            ..one_worker()
         };
         let before = stats();
         let result = run_campaign_with(&["flaky", "ok"], body, &cfg, None, false).unwrap();
@@ -990,7 +999,7 @@ mod tests {
         });
         let cfg = CampaignConfig {
             retry: RetryPolicy::with_retries(1, Duration::ZERO),
-            ..CampaignConfig::new(1, Duration::from_secs(30))
+            ..one_worker()
         };
         let result = run_campaign_with(
             &["doomed", "ok"],
@@ -1028,7 +1037,7 @@ mod tests {
         }
         assert!(load_journal(&path, &["a", "b"]).is_none());
         // ...and resuming against it rewrites a fresh campaign.
-        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        let cfg = one_worker();
         let result = run_campaign_with(&["a", "b"], demo_body(), &cfg, Some(&path), true).unwrap();
         assert!(result.warnings.iter().any(|w| w.contains("starting fresh")));
         assert_eq!(result.outcomes.len(), 2);

@@ -36,7 +36,8 @@ use faultsim::rng::SplitMix64;
 
 use crate::campaign::{self, CampaignConfig, CampaignEnd, RetryPolicy};
 use crate::report::Table;
-use crate::tracecache;
+use crate::runner::RunConfig;
+use crate::tracecache::{TraceCache, DEFAULT_CAPACITY_BYTES};
 
 /// Scenario-stream labels (stable: renumbering would change every seed's
 /// behaviour and invalidate pinned goldens).
@@ -64,6 +65,15 @@ fn demo_table(id: &str) -> Table {
 
 fn demo_body() -> Arc<dyn Fn(&str) -> Table + Send + Sync> {
     Arc::new(|id: &str| demo_table(id))
+}
+
+/// A one-worker campaign with `deadline` per experiment and no retry.
+fn one_worker(deadline: Duration) -> CampaignConfig {
+    CampaignConfig::new(RunConfig {
+        threads: 1,
+        deadline,
+        ..RunConfig::default()
+    })
 }
 
 fn scratch(seed: u64, name: &str) -> PathBuf {
@@ -108,7 +118,7 @@ fn retry_panic(seed: u64) -> Verdict {
     });
     let cfg = CampaignConfig {
         retry: RetryPolicy::with_retries(panics, Duration::ZERO),
-        ..CampaignConfig::new(1, Duration::from_secs(60))
+        ..one_worker(Duration::from_secs(60))
     };
     let result = match campaign::run_campaign_with(&IDS, body, &cfg, None, false) {
         Ok(r) => r,
@@ -154,7 +164,7 @@ fn retry_hang(seed: u64) -> Verdict {
     });
     let cfg = CampaignConfig {
         retry: RetryPolicy::with_retries(1, Duration::ZERO),
-        ..CampaignConfig::new(1, Duration::from_millis(100))
+        ..one_worker(Duration::from_millis(100))
     };
     let result = match campaign::run_campaign_with(&IDS, body, &cfg, None, false) {
         Ok(r) => r,
@@ -177,7 +187,7 @@ fn retry_hang(seed: u64) -> Verdict {
 fn journal_tear(seed: u64) -> Verdict {
     let mut rng = SplitMix64::stream(seed, S_JOURNAL_TEAR);
     let path = scratch(seed, "tear");
-    let cfg = CampaignConfig::new(1, Duration::from_secs(60));
+    let cfg = one_worker(Duration::from_secs(60));
     let clean = match campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), false) {
         Ok(r) => r,
         Err(e) => return fail("journal-tear", format!("campaign io error: {e}")),
@@ -229,7 +239,7 @@ fn journal_tear(seed: u64) -> Verdict {
 fn journal_rot(seed: u64) -> Verdict {
     let mut rng = SplitMix64::stream(seed, S_JOURNAL_ROT);
     let path = scratch(seed, "rot");
-    let cfg = CampaignConfig::new(1, Duration::from_secs(60));
+    let cfg = one_worker(Duration::from_secs(60));
     if let Err(e) = campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), false) {
         return fail("journal-rot", format!("campaign io error: {e}"));
     }
@@ -292,22 +302,18 @@ fn disk_rot(seed: u64) -> Verdict {
     let mut rng = SplitMix64::stream(seed, S_DISK_ROT);
     let dir = scratch(seed, "disk");
     let _ = std::fs::remove_dir_all(&dir);
-    let _g = tracecache::override_lock();
-    tracecache::set_enabled(true);
-    tracecache::set_disk_dir(Some(Some(dir.clone())));
+    // A private cache, so the scenario neither sees nor disturbs any
+    // other cache in the process.
+    let cache = TraceCache::new(DEFAULT_CAPACITY_BYTES, Some(dir.clone()));
     let cfg = NekboneConfig {
         elements_per_rank: 29 + rng.below(16),
         poly: 5,
         iterations: 2,
     };
     let ranks = 3;
-    // A prior run (or test) may have this trace resident; the scenario
-    // needs the fetch to miss so the disk tier sees a store.
-    tracecache::clear();
-    let original = tracecache::nekbone(cfg, ranks);
-    let restore = || {
-        tracecache::set_disk_dir(None);
-        tracecache::clear_override();
+    let fetch = || cache.fetch(&cfg, ranks, || a64fx_apps::nekbone::trace(cfg, ranks));
+    let original = fetch();
+    let cleanup = || {
         let _ = std::fs::remove_dir_all(&dir);
     };
     // Find the persisted file and rot one seeded byte past the header.
@@ -315,27 +321,27 @@ fn disk_rot(seed: u64) -> Verdict {
         rd.filter_map(|e| e.ok().map(|e| e.path()))
             .find(|p| p.extension().is_some_and(|e| e == "trace"))
     }) else {
-        restore();
+        cleanup();
         return fail("disk-rot", "no trace file persisted");
     };
     let mut bytes = match std::fs::read(&file) {
         Ok(b) => b,
         Err(e) => {
-            restore();
+            cleanup();
             return fail("disk-rot", format!("read trace file: {e}"));
         }
     };
     let pos = 12 + rng.below(bytes.len() - 12);
     bytes[pos] ^= 0x40;
     if std::fs::write(&file, &bytes).is_err() {
-        restore();
+        cleanup();
         return fail("disk-rot", "rewrite trace file failed");
     }
-    let before = tracecache::stats();
-    tracecache::clear(); // force the next fetch through the disk tier
-    let rebuilt = tracecache::nekbone(cfg, ranks);
-    let after = tracecache::stats();
-    restore();
+    let before = cache.stats();
+    cache.clear(); // force the next fetch through the disk tier
+    let rebuilt = fetch();
+    let after = cache.stats();
+    cleanup();
     if after.disk_corrupt != before.disk_corrupt + 1 {
         return fail(
             "disk-rot",
@@ -358,7 +364,7 @@ fn disk_rot(seed: u64) -> Verdict {
 /// and byte-compare against an uninterrupted run.
 fn kill_resume(seed: u64) -> Verdict {
     let mut rng = SplitMix64::stream(seed, S_KILL_RESUME);
-    let cfg = CampaignConfig::new(1, Duration::from_secs(60));
+    let cfg = one_worker(Duration::from_secs(60));
     let clean_path = scratch(seed, "kill-clean");
     let clean = match campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&clean_path), false)
     {
@@ -371,7 +377,7 @@ fn kill_resume(seed: u64) -> Verdict {
     let path = scratch(seed, "kill");
     let kill_cfg = CampaignConfig {
         stop_after_records: Some(stop_after),
-        ..cfg
+        ..cfg.clone()
     };
     let killed = match campaign::run_campaign_with(&IDS, demo_body(), &kill_cfg, Some(&path), false)
     {

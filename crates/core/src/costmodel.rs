@@ -21,7 +21,6 @@ use archsim::{EcmModel, SystemId, SystemSpec, Toolchain};
 use densela::Work;
 use simmpi::{Placement, PlacementPolicy, World};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::calibration::Calibration;
 
@@ -63,27 +62,11 @@ impl std::fmt::Display for PricingBackend {
     }
 }
 
-/// Process-wide default pricing backend (0 = flat, 1 = ECM). Mirrors the
-/// DES-backend toggle: `core::runner` resolves `A64FX_PRICING` /
-/// `repro --pricing` once at startup and installs the result here;
-/// [`Executor::new`] reads it back.
-static DEFAULT_PRICING: AtomicUsize = AtomicUsize::new(0);
-
-/// Install the process-wide default [`PricingBackend`].
-pub fn set_default_pricing(backend: PricingBackend) {
-    let code = match backend {
-        PricingBackend::Flat => 0,
-        PricingBackend::Ecm => 1,
-    };
-    DEFAULT_PRICING.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide default [`PricingBackend`] (flat unless installed).
+/// The pricing backend of the current thread's
+/// [`RunConfig`](crate::runner::RunConfig) scope (flat outside any
+/// scope); [`Executor::new`] prices with it.
 pub fn default_pricing() -> PricingBackend {
-    match DEFAULT_PRICING.load(Ordering::Relaxed) {
-        0 => PricingBackend::Flat,
-        _ => PricingBackend::Ecm,
-    }
+    crate::runner::RunConfig::current().pricing
 }
 
 /// How a job is laid out: ranks, ranks per node, threads per rank.
@@ -195,14 +178,15 @@ pub struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     /// Create an executor for a system/toolchain pair with the default
-    /// calibration and the process-wide default pricing backend.
+    /// calibration and the current scope's pricing backend
+    /// ([`default_pricing`]).
     pub fn new(spec: &'a SystemSpec, toolchain: &'a Toolchain) -> Self {
         Executor::with_pricing(spec, toolchain, default_pricing())
     }
 
     /// Create with an explicit pricing backend, independent of the
-    /// process-wide default — the constructor E1 and the differential
-    /// conform suite use so flat and ECM executors can coexist.
+    /// current scope — the constructor E1 and the differential conform
+    /// suite use so flat and ECM executors can coexist.
     pub fn with_pricing(
         spec: &'a SystemSpec,
         toolchain: &'a Toolchain,
@@ -217,7 +201,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Create with an explicit calibration (ablations).
+    /// Create with an explicit calibration (ablations) and the current
+    /// scope's pricing backend.
     pub fn with_calibration(
         spec: &'a SystemSpec,
         toolchain: &'a Toolchain,

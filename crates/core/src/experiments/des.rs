@@ -8,8 +8,9 @@
 //! analytic model at each point, exactly the regime the serial engine
 //! cannot reach in reasonable wall-clock time.
 //!
-//! The engine backend comes from [`netsim::shard::default_backend`] — set
-//! by `repro --des-backend` or `A64FX_DES_BACKEND` — and every column is
+//! The engine backend comes from the current
+//! [`RunConfig`](crate::runner::RunConfig) scope — set by
+//! `repro --des-backend` or `A64FX_DES_BACKEND` — and every column is
 //! **backend-invariant**: the sharded engine's conservative-lookahead
 //! windows process events in the same per-entity order as the serial heap,
 //! so times, event counts and window counts are identical to the bit at
@@ -20,6 +21,7 @@ use netsim::{DesBackend, Network};
 use simmpi::desval::allreduce_des_stats;
 
 use crate::report::Table;
+use crate::runner::RunConfig;
 
 /// The D1 sweep: `(simulated nodes, payload bytes)`. Small payloads take
 /// the recursive-doubling path, 64 KiB takes Rabenseifner; the 131072-node
@@ -34,7 +36,7 @@ pub const D1_SWEEP: [(usize, u64); 5] = [
 
 /// D1 — DES vs analytic allreduce at scale, on the configured backend.
 pub fn d1() -> Table {
-    let backend: DesBackend = netsim::shard::default_backend();
+    let backend: DesBackend = RunConfig::current().des_backend;
     let mut t = Table::new(
         "D1",
         "beyond the paper: allreduce at Fugaku scale — event-driven TofuD \
@@ -91,10 +93,11 @@ mod tests {
         // The acceptance check in miniature: the table body must not
         // change when the engine is swapped under it.
         let serial = d1();
-        let prev = netsim::shard::default_backend();
-        netsim::shard::set_default_backend(DesBackend::Sharded { shards: 4 });
-        let sharded = d1();
-        netsim::shard::set_default_backend(prev);
+        let sharded = RunConfig {
+            des_backend: DesBackend::Sharded { shards: 4 },
+            ..RunConfig::default()
+        }
+        .scope(d1);
         assert_eq!(serial.rows, sharded.rows, "rows must be backend-invariant");
     }
 

@@ -12,7 +12,7 @@
 //!
 //! The table is built from two *explicit* executors
 //! ([`Executor::with_pricing`]), so its output is independent of the
-//! process-wide `--pricing` / `A64FX_PRICING` default: running E1 under
+//! run's `--pricing` / `A64FX_PRICING` setting: running E1 under
 //! either default is byte-identical, which CI pins by diffing
 //! `repro --exp-json e1` across double runs.
 
@@ -95,14 +95,15 @@ mod tests {
     }
 
     #[test]
-    fn e1_is_invariant_under_the_process_pricing_default() {
-        // The acceptance check in miniature: flipping the installed
-        // default must not move a single byte of this table.
+    fn e1_is_invariant_under_the_run_pricing() {
+        // The acceptance check in miniature: running under ECM pricing
+        // must not move a single byte of this table.
         let under_flat = e1();
-        let prev = crate::costmodel::default_pricing();
-        crate::costmodel::set_default_pricing(PricingBackend::Ecm);
-        let under_ecm = e1();
-        crate::costmodel::set_default_pricing(prev);
+        let under_ecm = crate::runner::RunConfig {
+            pricing: PricingBackend::Ecm,
+            ..Default::default()
+        }
+        .scope(e1);
         assert_eq!(under_flat.rows, under_ecm.rows);
     }
 

@@ -23,9 +23,10 @@
 //!   process/thread configurations automatically.
 //! * [`resilience`] — the fault-aware executor: replays a trace under a
 //!   `faultsim` schedule with checkpoint/restart and shrink-and-recover.
-//! * [`runner`] — parallel regeneration of all experiments on a bounded
-//!   worker team (at most `available_parallelism` threads), each isolated
-//!   behind `catch_unwind` and a wall-clock deadline.
+//! * [`runner`] — the one resolved `RunConfig` a run carries, and
+//!   parallel regeneration of all experiments on a bounded worker team
+//!   (at most `available_parallelism` threads), each isolated behind
+//!   `catch_unwind` and a wall-clock deadline.
 //! * [`campaign`] — crash-safe batch supervision: a checksummed
 //!   write-ahead journal, `--resume` replay, and deterministic retry.
 //! * [`chaos`] — the seeded fault-injection self-test behind

@@ -1,4 +1,5 @@
-//! Parallel experiment runner, hardened against misbehaving experiments.
+//! Parallel experiment runner, hardened against misbehaving experiments,
+//! and the one resolved [`RunConfig`] every run carries.
 //!
 //! The experiments are independent simulations; this module fans them out
 //! over a `std::thread::scope` worker team so `repro --all` regenerates the
@@ -13,19 +14,34 @@
 //! `catch_unwind` and a wall-clock deadline, so one panicking or hung
 //! experiment yields a FAILED entry instead of killing the whole `repro`
 //! run ([`run_isolated`], [`run_all_isolated`]).
+//!
+//! Every run setting — worker count, deadline, DES backend, pricing
+//! backend, trace cache — lives in one [`RunConfig`], resolved once per
+//! binary ([`RunConfig::resolve`]) and passed down. Experiment bodies are
+//! plain `fn() -> Table`, so the runner installs the config as the
+//! worker thread's ambient scope ([`RunConfig::scope`]) and the cost
+//! model, D1 and the trace cache read it back ([`RunConfig::current`]).
+//! Two runs under different configs can share a process: nothing here
+//! is process-global.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use netsim::DesBackend;
+
+use crate::costmodel::PricingBackend;
 use crate::experiments;
 use crate::report::Table;
+use crate::tracecache::{self, TraceCache};
 
 /// Default wall-clock budget for one experiment. Generous: the slowest
 /// artefact takes tens of seconds on one core; ten minutes only trips on a
 /// genuine hang. Override with `repro --deadline-secs` or
-/// `A64FX_DEADLINE_SECS` (see [`resolve`]).
+/// `A64FX_DEADLINE_SECS` (see [`RunConfig::resolve`]).
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(600);
 
 /// Parse a per-experiment deadline request in whole seconds. Pure (no
@@ -65,14 +81,9 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
 /// unset with a one-line warning on stderr — a typo in a login script must
 /// never change results or refuse to run.
 ///
-/// The settings resolved this way are the worker count
-/// (`A64FX_REPRO_THREADS`, [`parse_threads`], `available_parallelism`),
-/// the per-experiment deadline (`A64FX_DEADLINE_SECS`,
-/// [`parse_deadline_secs`], [`DEFAULT_DEADLINE`]), the DES backend
-/// (`A64FX_DES_BACKEND`, `netsim::DesBackend::parse`, serial) and the
-/// pricing backend (`A64FX_PRICING`,
-/// [`PricingBackend::parse`](crate::costmodel::PricingBackend::parse),
-/// flat).
+/// This is the only place the library reads the environment; CI fails
+/// the build if `std::env::var` appears anywhere else under
+/// `crates/*/src`. [`RunConfig::resolve`] calls it once per setting.
 pub fn resolve<T>(
     explicit: Option<T>,
     env_var: &str,
@@ -89,6 +100,127 @@ pub fn resolve<T>(
         }
     }
     default()
+}
+
+/// Everything one run is configured by, resolved once and passed down.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Experiment-runner worker threads (at least 1).
+    pub threads: usize,
+    /// Per-experiment wall-clock deadline.
+    pub deadline: Duration,
+    /// Discrete-event engine for DES-routed experiments (D1).
+    pub des_backend: DesBackend,
+    /// Kernel-pricing backend for executors built without an explicit one.
+    pub pricing: PricingBackend,
+    /// The trace memo table experiments fetch through; `None` rebuilds
+    /// every trace (`repro --no-cache`).
+    pub trace_cache: Option<Arc<TraceCache>>,
+}
+
+impl Default for RunConfig {
+    /// The configuration with no flag and no environment variable set:
+    /// `available_parallelism` workers, [`DEFAULT_DEADLINE`], the serial
+    /// DES engine, flat pricing and the shared process trace cache.
+    fn default() -> Self {
+        RunConfig {
+            threads: densela::pool::available_parallelism(),
+            deadline: DEFAULT_DEADLINE,
+            des_backend: DesBackend::Serial,
+            pricing: PricingBackend::Flat,
+            trace_cache: Some(tracecache::shared()),
+        }
+    }
+}
+
+thread_local! {
+    /// The current thread's ambient run configuration; the default until
+    /// a [`RunConfig::scope`] installs another.
+    static CURRENT: RefCell<RunConfig> = RefCell::new(RunConfig::default());
+}
+
+impl RunConfig {
+    /// Resolve every setting through [`resolve`]: the explicit request
+    /// (a command-line flag) wins, then the environment, then the
+    /// default. The variables are `A64FX_REPRO_THREADS` ([`parse_threads`]),
+    /// `A64FX_DEADLINE_SECS` ([`parse_deadline_secs`]), `A64FX_DES_BACKEND`
+    /// ([`DesBackend::parse`]), `A64FX_PRICING` ([`PricingBackend::parse`]),
+    /// `A64FX_TRACE_CACHE` ([`tracecache::parse_switch`]) and
+    /// `A64FX_TRACE_CACHE_DIR` (a directory that also persists traces
+    /// on disk; empty means none).
+    pub fn resolve(
+        threads: Option<usize>,
+        deadline: Option<Duration>,
+        des_backend: Option<DesBackend>,
+        pricing: Option<PricingBackend>,
+        trace_cache: Option<bool>,
+    ) -> RunConfig {
+        let base = RunConfig::default();
+        let parse_deadline = |raw: &str| parse_deadline_secs(raw).map(Duration::from_secs);
+        let threads = resolve(threads, "A64FX_REPRO_THREADS", parse_threads, || {
+            base.threads
+        });
+        let deadline = resolve(deadline, "A64FX_DEADLINE_SECS", parse_deadline, || {
+            base.deadline
+        });
+        let des_backend = resolve(des_backend, "A64FX_DES_BACKEND", DesBackend::parse, || {
+            base.des_backend
+        });
+        let pricing = resolve(pricing, "A64FX_PRICING", PricingBackend::parse, || {
+            base.pricing
+        });
+        let cache_on = resolve(
+            trace_cache,
+            "A64FX_TRACE_CACHE",
+            tracecache::parse_switch,
+            || true,
+        );
+        let disk_dir = resolve(
+            None,
+            "A64FX_TRACE_CACHE_DIR",
+            |raw| Ok((!raw.trim().is_empty()).then(|| PathBuf::from(raw))),
+            || None,
+        );
+        RunConfig {
+            threads,
+            deadline,
+            des_backend,
+            pricing,
+            trace_cache: match (cache_on, disk_dir) {
+                (false, _) => None,
+                (true, None) => base.trace_cache,
+                (true, Some(dir)) => Some(Arc::new(TraceCache::new(
+                    tracecache::DEFAULT_CAPACITY_BYTES,
+                    Some(dir),
+                ))),
+            },
+        }
+    }
+
+    /// Run `body` with this config as the current thread's ambient
+    /// configuration, restoring the previous one afterwards (also on
+    /// panic). Nested scopes shadow the outer one.
+    pub fn scope<T>(&self, body: impl FnOnce() -> T) -> T {
+        struct Restore(Option<RunConfig>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                if let Some(prev) = self.0.take() {
+                    // `try_with`: a drop must not panic, even during
+                    // thread-local teardown.
+                    let _ = CURRENT.try_with(|c| *c.borrow_mut() = prev);
+                }
+            }
+        }
+        let prev = CURRENT.with(|c| c.replace(self.clone()));
+        let _restore = Restore(Some(prev));
+        body()
+    }
+
+    /// The current thread's ambient configuration: the innermost
+    /// [`RunConfig::scope`], else [`RunConfig::default`].
+    pub fn current() -> RunConfig {
+        CURRENT.with(|c| c.borrow().clone())
+    }
 }
 
 /// Record-volume summary of an observed experiment: how much the recorder
@@ -172,18 +304,19 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Run one experiment body isolated: on its own thread, behind
-/// `catch_unwind`, with a wall-clock `deadline`. A panic or overrun
-/// becomes an `Err` in the outcome instead of propagating.
+/// `catch_unwind`, with `cfg` installed as the thread's ambient scope and
+/// `cfg.deadline` as its wall-clock budget. A panic or overrun becomes an
+/// `Err` in the outcome instead of propagating.
 ///
 /// On deadline overrun the worker thread is abandoned (detached, still
 /// running); the caller gets its FAILED outcome immediately. That is the
 /// right trade for a CLI run — `repro` exits soon after and the OS reaps
 /// the stragglers.
-pub fn run_isolated<F>(id: &str, deadline: Duration, body: F) -> ExperimentOutcome
+pub fn run_isolated<F>(id: &str, cfg: &RunConfig, body: F) -> ExperimentOutcome
 where
     F: FnOnce() -> Table + Send + 'static,
 {
-    run_isolated_inner(id, deadline, None, body)
+    run_isolated_inner(id, cfg, None, body)
 }
 
 /// [`run_isolated`] with `rec` installed as the worker thread's ambient
@@ -193,19 +326,19 @@ where
 /// the best clue to why.
 pub fn run_isolated_observed<F>(
     id: &str,
-    deadline: Duration,
+    cfg: &RunConfig,
     rec: Arc<obs::MemRecorder>,
     body: F,
 ) -> ExperimentOutcome
 where
     F: FnOnce() -> Table + Send + 'static,
 {
-    run_isolated_inner(id, deadline, Some(rec), body)
+    run_isolated_inner(id, cfg, Some(rec), body)
 }
 
 fn run_isolated_inner<F>(
     id: &str,
-    deadline: Duration,
+    cfg: &RunConfig,
     rec: Option<Arc<obs::MemRecorder>>,
     body: F,
 ) -> ExperimentOutcome
@@ -215,18 +348,20 @@ where
     let started = Instant::now();
     let (tx, rx) = mpsc::channel();
     let worker_rec = rec.clone();
+    let worker_cfg = cfg.clone();
     std::thread::spawn(move || {
         let observed = move || match worker_rec {
             Some(r) => obs::with_recorder(r, body),
             None => body(),
         };
-        let result = catch_unwind(AssertUnwindSafe(observed)).map_err(panic_message);
+        let scoped = move || worker_cfg.scope(observed);
+        let result = catch_unwind(AssertUnwindSafe(scoped)).map_err(panic_message);
         // The receiver may have given up at the deadline: ignore send errors.
         let _ = tx.send(result);
     });
-    let result = match rx.recv_timeout(deadline) {
+    let result = match rx.recv_timeout(cfg.deadline) {
         Ok(r) => r,
-        Err(_) => Err(format!("deadline of {:.0?} exceeded", deadline)),
+        Err(_) => Err(format!("deadline of {:.0?} exceeded", cfg.deadline)),
     };
     ExperimentOutcome {
         id: id.to_string(),
@@ -237,12 +372,13 @@ where
     }
 }
 
-/// Run every experiment isolated (see [`run_isolated`]) on at most
-/// `workers` queue workers, returning outcomes in paper order. A failed
-/// experiment occupies its slot with a FAILED outcome; the rest still run.
-pub fn run_all_isolated(workers: usize, deadline: Duration) -> Vec<ExperimentOutcome> {
+/// Run every experiment isolated (see [`run_isolated`]) under `cfg` on at
+/// most `cfg.threads` queue workers, returning outcomes in paper order. A
+/// failed experiment occupies its slot with a FAILED outcome; the rest
+/// still run.
+pub fn run_all_isolated(cfg: &RunConfig) -> Vec<ExperimentOutcome> {
     let ids = experiments::all_ids();
-    let workers = workers.clamp(1, ids.len());
+    let workers = cfg.threads.clamp(1, ids.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ExperimentOutcome>>> =
         ids.iter().map(|_| Mutex::new(None)).collect();
@@ -251,9 +387,8 @@ pub fn run_all_isolated(workers: usize, deadline: Duration) -> Vec<ExperimentOut
             let i = next.fetch_add(1, Ordering::Relaxed);
             // Copy out the `&'static str` so the isolated closure is 'static.
             let Some(&id) = ids.get(i) else { break };
-            let outcome = run_isolated(id, deadline, move || {
-                experiments::run_one(id).expect("known id")
-            });
+            let outcome =
+                run_isolated(id, cfg, move || experiments::run_one(id).expect("known id"));
             // A worker that panicked between lock and store poisons the
             // slot mutex; recovering the guard keeps one bad experiment
             // from cascading into every later `.lock().unwrap()` and
@@ -282,36 +417,24 @@ pub fn run_all_isolated(workers: usize, deadline: Duration) -> Vec<ExperimentOut
         .collect()
 }
 
-/// Run every experiment concurrently on at most `available_parallelism`
-/// workers, returning them in paper order.
-pub fn run_all_parallel() -> Vec<Table> {
-    run_all_parallel_bounded(densela::pool::available_parallelism())
-}
-
-/// Run every experiment concurrently on at most `workers` worker threads
-/// (at least one), returning them in paper order.
-///
-/// # Panics
-/// Panics if any experiment fails; use [`run_all_isolated`] to degrade to
-/// FAILED entries instead.
-pub fn run_all_parallel_bounded(workers: usize) -> Vec<Table> {
-    run_all_isolated(workers, DEFAULT_DEADLINE)
-        .into_iter()
-        .map(|o| match o.result {
-            Ok(t) => t,
-            Err(why) => panic!("experiment {} failed: {why}", o.id),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::costmodel::PricingBackend;
+
+    /// Every table of an isolated run under `cfg`, in paper order.
+    fn tables(cfg: &RunConfig) -> Vec<Table> {
+        run_all_isolated(cfg)
+            .into_iter()
+            .map(|o| match o.result {
+                Ok(t) => t,
+                Err(why) => panic!("experiment {} failed: {why}", o.id),
+            })
+            .collect()
+    }
 
     #[test]
     fn parallel_run_matches_serial_order_and_content() {
-        let par = run_all_parallel();
+        let par = tables(&RunConfig::default());
         let ser = experiments::run_all();
         assert_eq!(par.len(), ser.len());
         for (p, s) in par.iter().zip(&ser) {
@@ -323,10 +446,48 @@ mod tests {
     #[test]
     fn bounded_run_matches_for_any_worker_count() {
         let ser = experiments::run_all();
-        for workers in [1usize, 2, 100] {
-            let par = run_all_parallel_bounded(workers);
-            assert_eq!(par, ser, "{workers} workers");
+        for threads in [1usize, 2, 100] {
+            let par = tables(&RunConfig {
+                threads,
+                ..RunConfig::default()
+            });
+            assert_eq!(par, ser, "{threads} workers");
         }
+    }
+
+    #[test]
+    fn different_configs_run_concurrently_without_a_lock() {
+        // Two whole-suite runs under different pricing share the process
+        // at the same time. Each must match its own one-worker reference,
+        // and the two must differ, which proves the config reached the
+        // spawned experiment threads.
+        let flat = RunConfig {
+            threads: 2,
+            ..RunConfig::default()
+        };
+        let ecm = RunConfig {
+            pricing: PricingBackend::Ecm,
+            ..flat.clone()
+        };
+        let flat_ref = tables(&RunConfig {
+            threads: 1,
+            ..flat.clone()
+        });
+        let ecm_ref = tables(&RunConfig {
+            threads: 1,
+            ..ecm.clone()
+        });
+        assert!(
+            flat_ref.iter().zip(&ecm_ref).any(|(f, e)| f != e),
+            "ECM pricing must change at least one table"
+        );
+        let (got_flat, got_ecm) = std::thread::scope(|s| {
+            let f = s.spawn(|| tables(&flat));
+            let e = s.spawn(|| tables(&ecm));
+            (f.join().unwrap(), e.join().unwrap())
+        });
+        assert_eq!(got_flat, flat_ref, "flat run disturbed by the ECM run");
+        assert_eq!(got_ecm, ecm_ref, "ECM run disturbed by the flat run");
     }
 
     #[test]
@@ -396,12 +557,12 @@ mod tests {
         // The flag beats the environment and the serial default.
         let b = resolve_env(
             "A64FX_TEST_DES_FLAG",
-            Some(netsim::DesBackend::Sharded { shards: 4 }),
+            Some(DesBackend::Sharded { shards: 4 }),
             Some("serial"),
-            netsim::DesBackend::parse,
-            || netsim::DesBackend::Serial,
+            DesBackend::parse,
+            || DesBackend::Serial,
         );
-        assert_eq!(b, netsim::DesBackend::Sharded { shards: 4 });
+        assert_eq!(b, DesBackend::Sharded { shards: 4 });
     }
 
     #[test]
@@ -502,7 +663,7 @@ mod tests {
 
     #[test]
     fn isolated_outcomes_record_one_attempt() {
-        let o = run_isolated("once", DEFAULT_DEADLINE, || {
+        let o = run_isolated("once", &RunConfig::default(), || {
             experiments::run_one("t1").expect("known id")
         });
         assert_eq!(o.attempts, 1);
@@ -510,7 +671,7 @@ mod tests {
 
     #[test]
     fn isolated_panic_becomes_failed_outcome() {
-        let o = run_isolated("boom", DEFAULT_DEADLINE, || {
+        let o = run_isolated("boom", &RunConfig::default(), || {
             panic!("deliberate test panic");
         });
         assert!(o.failed());
@@ -521,7 +682,11 @@ mod tests {
 
     #[test]
     fn isolated_deadline_overrun_becomes_failed_outcome() {
-        let o = run_isolated("sleepy", Duration::from_millis(50), || {
+        let cfg = RunConfig {
+            deadline: Duration::from_millis(50),
+            ..RunConfig::default()
+        };
+        let o = run_isolated("sleepy", &cfg, || {
             std::thread::sleep(Duration::from_secs(30));
             unreachable!("the runner must not wait for this");
         });
@@ -532,7 +697,7 @@ mod tests {
 
     #[test]
     fn isolated_success_returns_the_table() {
-        let o = run_isolated("ok", DEFAULT_DEADLINE, || {
+        let o = run_isolated("ok", &RunConfig::default(), || {
             experiments::run_one("t1").expect("known id")
         });
         assert!(!o.failed());
@@ -544,7 +709,7 @@ mod tests {
     #[test]
     fn observed_run_summarises_recording_in_render() {
         let rec = Arc::new(obs::MemRecorder::new());
-        let o = run_isolated_observed("ok", DEFAULT_DEADLINE, rec.clone(), || {
+        let o = run_isolated_observed("ok", &RunConfig::default(), rec.clone(), || {
             // The recorder is installed on the worker thread, so ambient
             // instrumentation inside the body lands in `rec`.
             obs::span("app.phase", "warmup", 0.0, 1.0, &[]);
@@ -558,7 +723,7 @@ mod tests {
         assert!(rendered.contains("[obs ok]"), "{rendered}");
         assert!(rendered.contains("spans"), "{rendered}");
         // The table itself is identical to the unobserved run.
-        let plain = run_isolated("ok", DEFAULT_DEADLINE, || {
+        let plain = run_isolated("ok", &RunConfig::default(), || {
             experiments::run_one("t1").expect("known id")
         });
         assert_eq!(o.result.unwrap(), plain.result.unwrap());
@@ -567,7 +732,7 @@ mod tests {
     #[test]
     fn observed_failure_still_reports_partial_recording() {
         let rec = Arc::new(obs::MemRecorder::new());
-        let o = run_isolated_observed("boom", DEFAULT_DEADLINE, rec, || {
+        let o = run_isolated_observed("boom", &RunConfig::default(), rec, || {
             obs::add("progress.marker", 1);
             panic!("deliberate test panic");
         });

@@ -1,11 +1,10 @@
-//! Trace-once, simulate-many: a process-wide memo table for application
-//! traces.
+//! Trace-once, simulate-many: a memo table for application traces.
 //!
 //! A [`Trace`] depends only on its application config and the rank
 //! count — never on the simulated system, toolchain or layout — yet the
 //! paper's tables sweep the same six workloads across five systems and
-//! many node counts, rebuilding identical traces for every cell. This
-//! module builds each distinct workload once: traces are keyed by
+//! many node counts, rebuilding identical traces for every cell. A
+//! [`TraceCache`] builds each distinct workload once: traces are keyed by
 //! `(app id, config fingerprint, ranks)` and shared as `Arc<Trace>`
 //! across experiments, the resilience runner and the conform suites.
 //!
@@ -22,25 +21,31 @@
 //!   sizes).
 //!
 //! The cache is an escape-hatched optimisation, not a semantic layer:
-//! `A64FX_TRACE_CACHE=off` (or `0`/`false`/`no`) and `repro --no-cache`
-//! disable it, and cache-on vs cache-off runs are byte-identical.
+//! a run's [`RunConfig::trace_cache`] of `None` (`repro --no-cache`,
+//! `A64FX_TRACE_CACHE=off`) rebuilds every trace, and cache-on vs
+//! cache-off runs are byte-identical.
 //!
-//! The memory tier is **capacity-bounded**: entries are charged their
-//! [`Trace::approx_bytes`] against `A64FX_TRACE_CACHE_CAP` (default
-//! [`DEFAULT_CAPACITY_BYTES`]) and evicted least-recently-used — purity
-//! makes eviction bit-transparent, so a million-distinct-workload
-//! campaign runs flat instead of growing without bound. With
-//! `A64FX_TRACE_CACHE_DIR` set, built traces are also **persisted** as
-//! checksummed files ([`crate::tracedisk`]) and reloaded across
-//! evictions and across processes, with graceful fallback-to-rebuild on
-//! any corruption or version mismatch.
+//! Each cache is a value with its own capacity and disk directory
+//! ([`TraceCache::new`]). The memory tier is **capacity-bounded**:
+//! entries are charged their [`Trace::approx_bytes`] and evicted
+//! least-recently-used — purity makes eviction bit-transparent, so a
+//! million-distinct-workload campaign runs flat instead of growing
+//! without bound. With a disk directory (`A64FX_TRACE_CACHE_DIR`), built
+//! traces are also **persisted** as checksummed files
+//! ([`crate::tracedisk`]) and reloaded across evictions and across
+//! processes, with graceful fallback-to-rebuild on any corruption or
+//! version mismatch.
 //!
-//! Totals are exposed through [`stats`] and — when a recorder is
-//! installed — the `trace_cache.{hits,misses,inserts,evictions}` and
+//! The free functions ([`fetch`], [`clear`], [`stats`],
+//! [`resident_bytes`] and the per-app helpers) act on the current
+//! thread's [`RunConfig`] scope, which defaults to the [`shared`] process
+//! cache. Totals are exposed per cache through [`TraceCache::stats`] and
+//! — when a recorder is installed — the
+//! `trace_cache.{hits,misses,inserts,evictions}` and
 //! `trace_cache.disk_{loads,stores,corrupt}` `obs` counters.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use a64fx_apps::castep::CastepConfig;
@@ -50,6 +55,8 @@ use a64fx_apps::minikab::MinikabConfig;
 use a64fx_apps::nekbone::NekboneConfig;
 use a64fx_apps::opensbli::OpensbliConfig;
 use a64fx_apps::trace::Trace;
+
+use crate::runner::RunConfig;
 
 /// Content-keying for cacheable application configs: a stable app
 /// namespace plus a deterministic 64-bit digest of every field.
@@ -204,12 +211,14 @@ struct Entry {
     last_use: u64,
 }
 
-/// The memo table: entries, a logical use-clock, and the bytes charged.
+/// The memo table: entries, a logical use-clock, the bytes charged and
+/// the cache's counters.
 #[derive(Default)]
 struct Store {
     map: HashMap<Key, Entry>,
     tick: u64,
     total_cost: u64,
+    stats: CacheStats,
 }
 
 impl Store {
@@ -241,7 +250,7 @@ impl Store {
             };
             let evicted = self.map.remove(&victim).expect("victim exists");
             self.total_cost -= evicted.cost;
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            self.stats.evictions += 1;
             if obs::enabled() {
                 obs::add("trace_cache.evictions", 1);
             }
@@ -259,184 +268,32 @@ impl Store {
     }
 }
 
-fn table() -> &'static Mutex<Store> {
-    static TABLE: OnceLock<Mutex<Store>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(Store::default()))
-}
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static INSERTS: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-static DISK_LOADS: AtomicU64 = AtomicU64::new(0);
-static DISK_STORES: AtomicU64 = AtomicU64::new(0);
-static DISK_CORRUPT: AtomicU64 = AtomicU64::new(0);
-
-/// Runtime override state: follows `A64FX_TRACE_CACHE` until
-/// [`set_enabled`] pins it (the `repro --no-cache` path, and tests that
-/// must not race through `env::set_var`).
-static OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_UNSET);
-const OVERRIDE_UNSET: u8 = 0;
-const OVERRIDE_ON: u8 = 1;
-const OVERRIDE_OFF: u8 = 2;
-
-/// Force the cache on or off for this process, taking precedence over
-/// `A64FX_TRACE_CACHE`. Used by `repro --no-cache` and by tests, which
-/// cannot portably mutate the environment of a multi-threaded test
-/// runner.
-pub fn set_enabled(on: bool) {
-    OVERRIDE.store(
-        if on { OVERRIDE_ON } else { OVERRIDE_OFF },
-        Ordering::Relaxed,
-    );
-}
-
-/// Drop any [`set_enabled`] override and fall back to the environment.
-pub fn clear_override() {
-    OVERRIDE.store(OVERRIDE_UNSET, Ordering::Relaxed);
-}
-
-/// Whether an `A64FX_TRACE_CACHE` value disables the cache: `off`, `0`,
-/// `false` and `no` (any case, surrounding whitespace ignored) do;
-/// everything else — including unset — leaves it on.
-pub fn env_disables(value: Option<&str>) -> bool {
-    matches!(
-        value.map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-        Some("off" | "0" | "false" | "no")
-    )
-}
-
-/// Whether the cache is currently serving: the [`set_enabled`] override
-/// if one is pinned, else the `A64FX_TRACE_CACHE` environment variable.
-pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        OVERRIDE_ON => true,
-        OVERRIDE_OFF => false,
-        _ => !env_disables(std::env::var("A64FX_TRACE_CACHE").ok().as_deref()),
-    }
-}
-
-/// Default in-memory capacity: 256 MiB. Far above anything the paper's
-/// sweeps build (traces are tens of kilobytes), so the bound is pure
-/// insurance — a million-distinct-request campaign stays flat instead of
-/// growing without limit.
+/// Capacity of the [`shared`] process cache: 256 MiB. Far above anything
+/// the paper's sweeps build (traces are tens of kilobytes), so the bound
+/// is pure insurance — a million-distinct-request campaign stays flat
+/// instead of growing without limit.
 pub const DEFAULT_CAPACITY_BYTES: u64 = 256 << 20;
 
-/// Parse an `A64FX_TRACE_CACHE_CAP` value: a positive byte count. Pure,
-/// so garbage handling is unit-testable.
-pub fn parse_capacity(raw: &str) -> Result<u64, String> {
-    let s = raw.trim();
-    if s.is_empty() {
-        return Err("empty value".to_string());
-    }
-    match s.parse::<u64>() {
-        Ok(0) => Err("0 bytes is not a valid capacity".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("'{s}' is not a positive byte count")),
+/// Parse an `A64FX_TRACE_CACHE` value: `on`, `1`, `true` and `yes`
+/// enable the cache; `off`, `0`, `false` and `no` disable it (any case,
+/// surrounding whitespace ignored). Anything else is an `Err`, so a typo
+/// warns and keeps the default instead of silently meaning "on".
+pub fn parse_switch(raw: &str) -> Result<bool, String> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "on" | "1" | "true" | "yes" => Ok(true),
+        "off" | "0" | "false" | "no" => Ok(false),
+        _ => Err(format!("'{}' is not on/off", raw.trim())),
     }
 }
 
-/// Pinned capacity override (bytes); 0 means "not pinned, follow the
-/// environment".
-static CAPACITY_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// Pin the in-memory capacity for this process (tests, chaos scenarios),
-/// taking precedence over `A64FX_TRACE_CACHE_CAP`. `None` drops the pin.
-pub fn set_capacity(cap: Option<u64>) {
-    CAPACITY_OVERRIDE.store(cap.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The capacity in force: the [`set_capacity`] pin, else
-/// `A64FX_TRACE_CACHE_CAP` (invalid values warn once on first use and
-/// fall back), else [`DEFAULT_CAPACITY_BYTES`].
-pub fn capacity() -> u64 {
-    let pinned = CAPACITY_OVERRIDE.load(Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
-    }
-    static FROM_ENV: OnceLock<u64> = OnceLock::new();
-    *FROM_ENV.get_or_init(
-        || match std::env::var("A64FX_TRACE_CACHE_CAP").ok().as_deref() {
-            None => DEFAULT_CAPACITY_BYTES,
-            Some(raw) => match parse_capacity(raw) {
-                Ok(n) => n,
-                Err(why) => {
-                    eprintln!("warning: ignoring A64FX_TRACE_CACHE_CAP ({why}); using default");
-                    DEFAULT_CAPACITY_BYTES
-                }
-            },
-        },
-    )
-}
-
-/// Pinned disk-directory override. Outer `None` = not pinned (follow
-/// `A64FX_TRACE_CACHE_DIR`); `Some(None)` = pinned off.
-#[allow(clippy::type_complexity)]
-fn disk_override() -> &'static Mutex<Option<Option<std::path::PathBuf>>> {
-    static DIR: OnceLock<Mutex<Option<Option<std::path::PathBuf>>>> = OnceLock::new();
-    DIR.get_or_init(|| Mutex::new(None))
-}
-
-/// Pin the disk persistence directory for this process (the
-/// `repro`-level plumbing and tests), taking precedence over
-/// `A64FX_TRACE_CACHE_DIR`. `Some(None)` pins persistence off;
-/// `None` drops the pin and falls back to the environment.
-pub fn set_disk_dir(dir: Option<Option<std::path::PathBuf>>) {
-    *disk_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = dir;
-}
-
-/// The disk persistence directory in force, if any: the [`set_disk_dir`]
-/// pin, else `A64FX_TRACE_CACHE_DIR` (empty value = off).
-pub fn disk_dir() -> Option<std::path::PathBuf> {
-    if let Some(pinned) = disk_override()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-    {
-        return pinned;
-    }
-    std::env::var("A64FX_TRACE_CACHE_DIR")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .map(std::path::PathBuf::from)
-}
-
-/// Serialise users of the process-global override pins ([`set_enabled`],
-/// [`set_capacity`], [`set_disk_dir`]). Tests and chaos scenarios that
-/// pin-and-restore must hold this guard so concurrent pinners do not
-/// interleave; the cache itself never takes it.
-pub fn override_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Empty the in-memory memo table (counters are untouched). Used by
-/// tests and chaos scenarios to force the disk tier or fresh rebuilds;
-/// bit-transparency makes this safe at any time.
-pub fn clear() {
-    let mut store = table().lock().unwrap_or_else(PoisonError::into_inner);
-    store.map.clear();
-    store.total_cost = 0;
-}
-
-/// Bytes currently charged against the capacity.
-pub fn resident_bytes() -> u64 {
-    table()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .total_cost
-}
-
-/// A snapshot of the process-wide trace-cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A snapshot of one cache's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Fetches served from the memo table.
     pub hits: u64,
     /// Fetches that had to build (or disk-load) the trace.
     pub misses: u64,
-    /// Traces inserted (misses that ran with the cache enabled).
+    /// Traces inserted (every miss).
     pub inserts: u64,
     /// Entries evicted under the capacity bound.
     pub evictions: u64,
@@ -449,101 +306,180 @@ pub struct CacheStats {
     pub disk_corrupt: u64,
 }
 
-/// Current process-wide cache totals (monotonic; disabled fetches count
-/// as misses without inserts).
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        inserts: INSERTS.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        disk_loads: DISK_LOADS.load(Ordering::Relaxed),
-        disk_stores: DISK_STORES.load(Ordering::Relaxed),
-        disk_corrupt: DISK_CORRUPT.load(Ordering::Relaxed),
+/// A bounded, optionally disk-backed trace memo table.
+pub struct TraceCache {
+    capacity: u64,
+    disk_dir: Option<PathBuf>,
+    store: Mutex<Store>,
+}
+
+impl std::fmt::Debug for TraceCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceCache")
+            .field("capacity", &self.capacity)
+            .field("disk_dir", &self.disk_dir)
+            .finish_non_exhaustive()
     }
 }
 
-/// Fetch the trace for `(cfg, ranks)`, building it with `build` on the
-/// first request and sharing the same `Arc` on every subsequent one.
-/// With the cache disabled this degenerates to `Arc::new(build())` —
-/// the exact uncached behaviour, minus sharing.
-///
-/// The bounded memory tier evicts least-recently-used entries past
-/// [`capacity`] bytes (cost = [`Trace::approx_bytes`]); an evicted key
-/// simply rebuilds on its next fetch — builders are pure, so eviction is
-/// bit-transparent. With a disk directory configured ([`disk_dir`]), a
-/// memory miss first tries the checksummed on-disk copy and falls back
-/// to rebuilding on *any* refusal (missing, corrupt, version skew), then
-/// persists what it built.
-///
-/// The build runs under the table lock: builders are microsecond-cheap
-/// and this guarantees each key is built exactly once even when the
-/// experiment runner fetches the same workload from several worker
-/// threads at once.
-pub fn fetch<C: Fingerprint>(cfg: &C, ranks: u32, build: impl FnOnce() -> Trace) -> Arc<Trace> {
-    if !enabled() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
+impl TraceCache {
+    /// An empty cache holding at most `capacity` bytes of traces, and
+    /// persisting them under `disk_dir` when one is given.
+    pub fn new(capacity: u64, disk_dir: Option<PathBuf>) -> Self {
+        TraceCache {
+            capacity,
+            disk_dir,
+            store: Mutex::new(Store::default()),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fetch the trace for `(cfg, ranks)`, building it with `build` on
+    /// the first request and sharing the same `Arc` on every subsequent
+    /// one.
+    ///
+    /// The bounded memory tier evicts least-recently-used entries past
+    /// the capacity (cost = [`Trace::approx_bytes`]); an evicted key
+    /// simply rebuilds on its next fetch — builders are pure, so
+    /// eviction is bit-transparent. With a disk directory, a memory miss
+    /// first tries the checksummed on-disk copy and falls back to
+    /// rebuilding on *any* refusal (missing, corrupt, version skew), then
+    /// persists what it built.
+    ///
+    /// The build runs under the table lock: builders are
+    /// microsecond-cheap and this guarantees each key is built exactly
+    /// once even when the experiment runner fetches the same workload
+    /// from several worker threads at once.
+    pub fn fetch<C: Fingerprint>(
+        &self,
+        cfg: &C,
+        ranks: u32,
+        build: impl FnOnce() -> Trace,
+    ) -> Arc<Trace> {
+        let key: Key = (C::APP, cfg.fingerprint(), ranks);
+        let mut store = self.lock();
+        if let Some(t) = store.get(&key) {
+            store.stats.hits += 1;
+            if obs::enabled() {
+                obs::add("trace_cache.hits", 1);
+            }
+            return t;
+        }
+        store.stats.misses += 1;
         if obs::enabled() {
             obs::add("trace_cache.misses", 1);
         }
-        return Arc::new(build());
-    }
-    let key: Key = (C::APP, cfg.fingerprint(), ranks);
-    let mut store = table().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(t) = store.get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
+        // Disk tier first: a valid on-disk copy is bit-identical to a fresh
+        // build (decode is exact and the builder is pure), so serving it is
+        // transparent. Anything refused falls through to the builder.
+        let (t, from_disk) = match &self.disk_dir {
+            Some(d) => match crate::tracedisk::load(d, key.0, key.1, key.2) {
+                Ok(t) => {
+                    store.stats.disk_loads += 1;
+                    if obs::enabled() {
+                        obs::add("trace_cache.disk_loads", 1);
+                    }
+                    (Arc::new(t), true)
+                }
+                Err(crate::tracedisk::LoadError::Missing) => (Arc::new(build()), false),
+                Err(_) => {
+                    store.stats.disk_corrupt += 1;
+                    if obs::enabled() {
+                        obs::add("trace_cache.disk_corrupt", 1);
+                    }
+                    (Arc::new(build()), false)
+                }
+            },
+            None => (Arc::new(build()), false),
+        };
+        store.stats.inserts += 1;
         if obs::enabled() {
-            obs::add("trace_cache.hits", 1);
+            obs::add("trace_cache.inserts", 1);
         }
-        return t;
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    if obs::enabled() {
-        obs::add("trace_cache.misses", 1);
-    }
-    let dir = disk_dir();
-    // Disk tier first: a valid on-disk copy is bit-identical to a fresh
-    // build (decode is exact and the builder is pure), so serving it is
-    // transparent. Anything refused falls through to the builder.
-    let (t, from_disk) = match &dir {
-        Some(d) => match crate::tracedisk::load(d, key.0, key.1, key.2) {
-            Ok(t) => {
-                DISK_LOADS.fetch_add(1, Ordering::Relaxed);
-                if obs::enabled() {
-                    obs::add("trace_cache.disk_loads", 1);
+        store.insert(key, &t, self.capacity);
+        if let (Some(d), false) = (&self.disk_dir, from_disk) {
+            // Best-effort persist: a full disk or unwritable directory costs
+            // the amortisation, never the run.
+            match crate::tracedisk::store(d, key.0, key.1, key.2, &t) {
+                Ok(()) => {
+                    store.stats.disk_stores += 1;
+                    if obs::enabled() {
+                        obs::add("trace_cache.disk_stores", 1);
+                    }
                 }
-                (Arc::new(t), true)
+                Err(why) => eprintln!("warning: trace cache persist failed: {why}"),
             }
-            Err(crate::tracedisk::LoadError::Missing) => (Arc::new(build()), false),
-            Err(_) => {
-                DISK_CORRUPT.fetch_add(1, Ordering::Relaxed);
-                if obs::enabled() {
-                    obs::add("trace_cache.disk_corrupt", 1);
-                }
-                (Arc::new(build()), false)
-            }
-        },
-        None => (Arc::new(build()), false),
-    };
-    INSERTS.fetch_add(1, Ordering::Relaxed);
-    if obs::enabled() {
-        obs::add("trace_cache.inserts", 1);
+        }
+        t
     }
-    store.insert(key, &t, capacity());
-    if let (Some(d), false) = (&dir, from_disk) {
-        // Best-effort persist: a full disk or unwritable directory costs
-        // the amortisation, never the run.
-        match crate::tracedisk::store(d, key.0, key.1, key.2, &t) {
-            Ok(()) => {
-                DISK_STORES.fetch_add(1, Ordering::Relaxed);
-                if obs::enabled() {
-                    obs::add("trace_cache.disk_stores", 1);
-                }
+
+    /// Empty the memory tier (counters are untouched). Used by tests and
+    /// chaos scenarios to force the disk tier or fresh rebuilds;
+    /// bit-transparency makes this safe at any time.
+    pub fn clear(&self) {
+        let mut store = self.lock();
+        store.map.clear();
+        store.total_cost = 0;
+    }
+
+    /// This cache's counters (monotonic).
+    pub fn stats(&self) -> CacheStats {
+        self.lock().stats
+    }
+
+    /// Bytes currently charged against the capacity.
+    pub fn resident_bytes(&self) -> u64 {
+        self.lock().total_cost
+    }
+}
+
+/// The process cache: [`DEFAULT_CAPACITY_BYTES`], memory only. It is
+/// what [`RunConfig::default`] carries, so every thread outside an
+/// explicit scope shares it.
+pub fn shared() -> Arc<TraceCache> {
+    static SHARED: OnceLock<Arc<TraceCache>> = OnceLock::new();
+    Arc::clone(SHARED.get_or_init(|| Arc::new(TraceCache::new(DEFAULT_CAPACITY_BYTES, None))))
+}
+
+/// [`TraceCache::fetch`] on the current scope's cache. With the cache
+/// off (`None`) this degenerates to `Arc::new(build())` — the exact
+/// uncached behaviour, minus sharing.
+pub fn fetch<C: Fingerprint>(cfg: &C, ranks: u32, build: impl FnOnce() -> Trace) -> Arc<Trace> {
+    match RunConfig::current().trace_cache {
+        Some(cache) => cache.fetch(cfg, ranks, build),
+        None => {
+            if obs::enabled() {
+                obs::add("trace_cache.misses", 1);
             }
-            Err(why) => eprintln!("warning: trace cache persist failed: {why}"),
+            Arc::new(build())
         }
     }
-    t
+}
+
+/// [`TraceCache::clear`] on the current scope's cache, if any.
+pub fn clear() {
+    if let Some(cache) = RunConfig::current().trace_cache {
+        cache.clear();
+    }
+}
+
+/// [`TraceCache::stats`] of the current scope's cache (all zero when the
+/// cache is off).
+pub fn stats() -> CacheStats {
+    RunConfig::current()
+        .trace_cache
+        .map_or_else(CacheStats::default, |c| c.stats())
+}
+
+/// [`TraceCache::resident_bytes`] of the current scope's cache (0 when
+/// the cache is off).
+pub fn resident_bytes() -> u64 {
+    RunConfig::current()
+        .trace_cache
+        .map_or(0, |c| c.resident_bytes())
 }
 
 /// Memoized [`a64fx_apps::hpcg::trace`].
@@ -580,10 +516,18 @@ pub fn opensbli(cfg: OpensbliConfig, ranks: u32) -> Arc<Trace> {
 mod tests {
     use super::*;
 
-    /// Tests that flip the cache override must not interleave: the
-    /// override is process-global state.
-    fn override_guard() -> std::sync::MutexGuard<'static, ()> {
-        override_lock()
+    /// Run `body` with `cache` as the scope's trace cache (`None`: off).
+    fn with_cache<T>(cache: Option<&Arc<TraceCache>>, body: impl FnOnce() -> T) -> T {
+        RunConfig {
+            trace_cache: cache.cloned(),
+            ..RunConfig::default()
+        }
+        .scope(body)
+    }
+
+    /// A private cache of `capacity` bytes, memory only.
+    fn private(capacity: u64) -> Arc<TraceCache> {
+        Arc::new(TraceCache::new(capacity, None))
     }
 
     #[test]
@@ -657,46 +601,45 @@ mod tests {
 
     #[test]
     fn same_key_returns_pointer_equal_arc() {
-        let _g = override_guard();
-        set_enabled(true);
-        let a = hpcg(HpcgConfig::paper(), 96);
-        let b = hpcg(HpcgConfig::paper(), 96);
-        assert!(Arc::ptr_eq(&a, &b), "cache must share one allocation");
-        // A different rank count is a different workload.
-        let c = hpcg(HpcgConfig::paper(), 48);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.ranks, 48);
-        clear_override();
+        let cache = private(DEFAULT_CAPACITY_BYTES);
+        with_cache(Some(&cache), || {
+            let a = hpcg(HpcgConfig::paper(), 96);
+            let b = hpcg(HpcgConfig::paper(), 96);
+            assert!(Arc::ptr_eq(&a, &b), "cache must share one allocation");
+            // A different rank count is a different workload.
+            let c = hpcg(HpcgConfig::paper(), 48);
+            assert!(!Arc::ptr_eq(&a, &c));
+            assert_eq!(c.ranks, 48);
+        });
     }
 
     #[test]
     fn disabled_cache_builds_fresh_but_identical_traces() {
-        let _g = override_guard();
-        set_enabled(false);
-        let a = nekbone(NekboneConfig::paper(), 48);
-        let b = nekbone(NekboneConfig::paper(), 48);
+        let (a, b) = with_cache(None, || {
+            (
+                nekbone(NekboneConfig::paper(), 48),
+                nekbone(NekboneConfig::paper(), 48),
+            )
+        });
         assert!(!Arc::ptr_eq(&a, &b), "disabled cache must not share");
-        set_enabled(true);
-        let cached = nekbone(NekboneConfig::paper(), 48);
+        let cached = with_cache(Some(&private(DEFAULT_CAPACITY_BYTES)), || {
+            nekbone(NekboneConfig::paper(), 48)
+        });
         assert_eq!(*a, *cached, "cached and fresh traces must be equal");
-        clear_override();
     }
 
     #[test]
     fn table_renders_byte_identical_cache_on_vs_off() {
-        let _g = override_guard();
-        set_enabled(true);
-        let on = crate::experiments::run_one("t5")
-            .expect("t5 exists")
-            .render();
-        let on_again = crate::experiments::run_one("t5")
-            .expect("t5 exists")
-            .render();
-        set_enabled(false);
-        let off = crate::experiments::run_one("t5")
-            .expect("t5 exists")
-            .render();
-        clear_override();
+        let t5 = || {
+            crate::experiments::run_one("t5")
+                .expect("t5 exists")
+                .render()
+        };
+        let cache = private(DEFAULT_CAPACITY_BYTES);
+        let on = with_cache(Some(&cache), t5);
+        let on_again = with_cache(Some(&cache), t5);
+        let off = with_cache(None, t5);
+        assert!(cache.stats().hits > 0, "the second run must hit");
         assert_eq!(on, off, "cache must not change a byte of the report");
         assert_eq!(on, on_again, "cache hits must not either");
     }
@@ -704,28 +647,28 @@ mod tests {
     #[test]
     fn env_value_parsing() {
         for off in ["off", "OFF", " Off ", "0", "false", "FALSE", "no"] {
-            assert!(env_disables(Some(off)), "{off:?} must disable");
+            assert_eq!(parse_switch(off), Ok(false), "{off:?} must disable");
         }
-        for on in ["on", "1", "true", "", "yes", "anything"] {
-            assert!(!env_disables(Some(on)), "{on:?} must not disable");
+        for on in ["on", "1", "true", " Yes ", "ON"] {
+            assert_eq!(parse_switch(on), Ok(true), "{on:?} must enable");
         }
-        assert!(!env_disables(None), "unset leaves the cache on");
-    }
-
-    #[test]
-    fn parse_capacity_accepts_bytes_and_rejects_garbage() {
-        assert_eq!(parse_capacity("1"), Ok(1));
-        assert_eq!(parse_capacity(" 268435456 "), Ok(256 << 20));
-        for bad in ["", "  ", "0", "-1", "64M", "lots", "1.5"] {
-            assert!(parse_capacity(bad).is_err(), "{bad:?} must be rejected");
+        // Typos are refused, so `runner::resolve` warns and keeps the
+        // default (on) instead of reading them as anything. The variable
+        // is one only this test uses.
+        let var = "A64FX_TEST_TRACE_CACHE_GARBAGE";
+        for bad in ["offf", "", "  ", "anything", "disable", "2"] {
+            assert!(parse_switch(bad).is_err(), "{bad:?} must be rejected");
+            std::env::set_var(var, bad);
+            assert!(crate::runner::resolve(None, var, parse_switch, || true));
         }
+        std::env::set_var(var, "off");
+        assert!(!crate::runner::resolve(None, var, parse_switch, || true));
     }
 
     #[test]
     fn lru_eviction_is_bit_transparent() {
-        let _g = override_guard();
-        set_enabled(true);
-        // Two distinct workloads no other test uses.
+        // Two distinct workloads under a cap that fits just one of them:
+        // inserting the second must evict the first.
         let cfg_a = NekboneConfig {
             elements_per_rank: 31,
             poly: 5,
@@ -736,68 +679,55 @@ mod tests {
             poly: 5,
             iterations: 2,
         };
-        let a1 = nekbone(cfg_a, 3);
-        // Cap to just this one trace: inserting the next must evict it.
-        set_capacity(Some(a1.approx_bytes() + 16));
-        let before = stats();
-        let _b = nekbone(cfg_b, 3);
-        let a2 = nekbone(cfg_a, 3);
-        let after = stats();
-        set_capacity(None);
-        clear_override();
-        assert!(
-            after.evictions > before.evictions,
-            "a tiny cap must evict: {after:?}"
-        );
+        let one = a64fx_apps::nekbone::trace(cfg_a, 3).approx_bytes() + 16;
+        let cache = private(one);
+        let (a1, a2) = with_cache(Some(&cache), || {
+            let a1 = nekbone(cfg_a, 3);
+            let _b = nekbone(cfg_b, 3);
+            (a1, nekbone(cfg_a, 3))
+        });
+        assert!(cache.stats().evictions > 0, "a tiny cap must evict");
         assert!(
             !Arc::ptr_eq(&a1, &a2),
             "the evicted entry must have been rebuilt"
         );
         assert_eq!(*a1, *a2, "evict-then-refetch must be bit-transparent");
-        assert_eq!(cfg_a.fingerprint(), cfg_a.fingerprint());
+        assert!(cache.resident_bytes() <= one);
     }
 
     #[test]
     fn oversized_trace_is_served_but_not_cached() {
-        let _g = override_guard();
-        set_enabled(true);
-        set_capacity(Some(1)); // nothing fits
         let cfg = NekboneConfig {
             elements_per_rank: 41,
             poly: 5,
             iterations: 2,
         };
-        let a = nekbone(cfg, 3);
-        let b = nekbone(cfg, 3);
-        set_capacity(None);
-        clear_override();
+        let cache = private(1); // nothing fits
+        let (a, b) = with_cache(Some(&cache), || (nekbone(cfg, 3), nekbone(cfg, 3)));
         assert!(!Arc::ptr_eq(&a, &b), "nothing may be cached under cap 1");
         assert_eq!(*a, *b);
+        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]
     fn disk_tier_round_trips_and_survives_corruption() {
-        let _g = override_guard();
-        set_enabled(true);
         let dir =
             std::env::temp_dir().join(format!("a64fx-tracecache-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        set_disk_dir(Some(Some(dir.clone())));
+        let cache = Arc::new(TraceCache::new(DEFAULT_CAPACITY_BYTES, Some(dir.clone())));
         let cfg = NekboneConfig {
             elements_per_rank: 43,
             poly: 5,
             iterations: 2,
         };
-        let before = stats();
-        let fresh = nekbone(cfg, 3);
-        let mid = stats();
-        assert!(mid.disk_stores > before.disk_stores, "first build persists");
+        let fetch = || with_cache(Some(&cache), || nekbone(cfg, 3));
+        let fresh = fetch();
+        assert_eq!(cache.stats().disk_stores, 1, "first build persists");
         // Drop the memory tier: the next fetch must come from disk and
         // be bit-identical to the fresh build.
-        clear();
-        let loaded = nekbone(cfg, 3);
-        let after_load = stats();
-        assert!(after_load.disk_loads > mid.disk_loads, "{after_load:?}");
+        cache.clear();
+        let loaded = fetch();
+        assert_eq!(cache.stats().disk_loads, 1, "{:?}", cache.stats());
         assert_eq!(*fresh, *loaded);
         // Corrupt the file: the next cold fetch must refuse it, count
         // it, and rebuild the identical trace.
@@ -806,25 +736,15 @@ mod tests {
         let mid_byte = bytes.len() / 3;
         bytes[mid_byte] ^= 0x55;
         std::fs::write(&path, &bytes).unwrap();
-        clear();
-        let rebuilt = nekbone(cfg, 3);
-        let after_corrupt = stats();
-        set_disk_dir(None);
-        clear_override();
+        cache.clear();
+        let rebuilt = fetch();
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(
-            after_corrupt.disk_corrupt > after_load.disk_corrupt,
-            "{after_corrupt:?}"
-        );
+        assert_eq!(cache.stats().disk_corrupt, 1, "{:?}", cache.stats());
         assert_eq!(*fresh, *rebuilt, "corruption must fall back to rebuild");
     }
 
     #[test]
     fn stats_count_hits_and_misses() {
-        let _g = override_guard();
-        set_enabled(true);
-        let before = stats();
-        // A config no other test uses, so the first fetch is a miss.
         let cfg = CosaConfig {
             blocks: 13,
             block_grid: (13, 1),
@@ -832,12 +752,14 @@ mod tests {
             harmonics: 2,
             iterations: 3,
         };
-        let _a = cosa(cfg, 4);
-        let _b = cosa(cfg, 4);
-        let after = stats();
-        assert!(after.misses > before.misses);
-        assert!(after.inserts > before.inserts);
-        assert!(after.hits > before.hits);
-        clear_override();
+        let cache = private(DEFAULT_CAPACITY_BYTES);
+        let counted = with_cache(Some(&cache), || {
+            let _a = cosa(cfg, 4);
+            let _b = cosa(cfg, 4);
+            stats()
+        });
+        assert_eq!(counted, cache.stats(), "stats() reads the scope's cache");
+        assert_eq!((counted.misses, counted.inserts, counted.hits), (1, 1, 1));
+        assert_eq!(with_cache(None, stats), CacheStats::default());
     }
 }

@@ -3,7 +3,8 @@
 //! The in-memory trace cache ([`crate::tracecache`]) amortises trace
 //! construction within one process; this module amortises it *across*
 //! processes: when a cache directory is configured
-//! (`A64FX_TRACE_CACHE_DIR` or [`crate::tracecache::set_disk_dir`]),
+//! (`A64FX_TRACE_CACHE_DIR`, or the `disk_dir` of
+//! [`crate::tracecache::TraceCache::new`]),
 //! every built trace is also written to
 //! `<dir>/<app>-<fingerprint>-r<ranks>.trace` and later fetches — in this
 //! process after an eviction, or in the next process entirely — load it

@@ -10,7 +10,8 @@ use std::time::Duration;
 use a64fx_apps::nekbone::NekboneConfig;
 use a64fx_core::campaign::{self, CampaignConfig, CampaignEnd};
 use a64fx_core::report::Table;
-use a64fx_core::tracecache;
+use a64fx_core::runner::RunConfig;
+use a64fx_core::tracecache::TraceCache;
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -29,6 +30,15 @@ fn demo_table(id: &str) -> Table {
 
 fn demo_body() -> Arc<dyn Fn(&str) -> Table + Send + Sync> {
     Arc::new(|id: &str| demo_table(id))
+}
+
+/// `threads` workers, a 30 s deadline, no retry.
+fn workers(threads: usize) -> CampaignConfig {
+    CampaignConfig::new(RunConfig {
+        threads,
+        deadline: Duration::from_secs(30),
+        ..RunConfig::default()
+    })
 }
 
 const IDS: [&str; 5] = ["i1", "i2", "i3", "i4", "i5"];
@@ -51,28 +61,23 @@ proptest! {
             .iter()
             .map(|c| a64fx_apps::nekbone::trace(*c, ranks))
             .collect();
-        let _g = tracecache::override_lock();
-        tracecache::set_enabled(true);
-        tracecache::set_capacity(Some(reference[0].approx_bytes() + 16));
-        tracecache::clear();
+        let cache = TraceCache::new(reference[0].approx_bytes() + 16, None);
         for &i in &accesses {
-            let got = tracecache::nekbone(configs[i], ranks);
+            let c = configs[i];
+            let got = cache.fetch(&c, ranks, || a64fx_apps::nekbone::trace(c, ranks));
             prop_assert_eq!(&*got, &reference[i], "access to config {} served wrong bytes", i);
         }
         prop_assert!(
-            tracecache::resident_bytes() <= reference[0].approx_bytes() + 16,
+            cache.resident_bytes() <= reference[0].approx_bytes() + 16,
             "resident bytes exceed the cap"
         );
-        tracecache::set_capacity(None);
-        tracecache::clear_override();
-        tracecache::clear();
     }
 
     // A journal truncated at ANY byte resumes to the same final output.
     #[test]
     fn journal_truncated_anywhere_resumes_byte_identical(cut_frac in 0.0f64..1.0) {
         let path = tmp(&format!("anycut-{}", (cut_frac * 1e6) as u64));
-        let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+        let cfg = workers(1);
         let clean = campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), false)
             .unwrap();
         let clean_merged = campaign::merged_json(&clean.outcomes);
@@ -98,7 +103,7 @@ proptest! {
 #[test]
 fn truncated_mid_record_resumes_from_last_complete_record() {
     let path = tmp("midrecord");
-    let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+    let cfg = workers(1);
     campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), false).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     // Cut 10 bytes into the 4th record: records 0..3 survive.
@@ -135,7 +140,7 @@ fn truncated_mid_record_resumes_from_last_complete_record() {
 /// and demand byte-identical merged output and renders.
 #[test]
 fn kill_after_each_record_count_resumes_byte_identical() {
-    let cfg = CampaignConfig::new(1, Duration::from_secs(30));
+    let cfg = workers(1);
     let clean_path = tmp("kill-clean");
     let clean =
         campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&clean_path), false).unwrap();
@@ -146,7 +151,7 @@ fn kill_after_each_record_count_resumes_byte_identical() {
         let path = tmp(&format!("kill-{stop_after}"));
         let kill_cfg = CampaignConfig {
             stop_after_records: Some(stop_after),
-            ..cfg
+            ..cfg.clone()
         };
         let killed =
             campaign::run_campaign_with(&IDS, demo_body(), &kill_cfg, Some(&path), false).unwrap();
@@ -177,7 +182,7 @@ fn kill_after_each_record_count_resumes_byte_identical() {
 #[test]
 fn multi_worker_campaign_journals_every_outcome() {
     let path = tmp("workers");
-    let cfg = CampaignConfig::new(4, Duration::from_secs(30));
+    let cfg = workers(4);
     let result = campaign::run_campaign_with(&IDS, demo_body(), &cfg, Some(&path), false).unwrap();
     assert_eq!(result.outcomes.len(), IDS.len());
     assert_eq!(result.failed(), 0);

@@ -6,7 +6,8 @@
 //! provides:
 //!
 //! * [`DesBackend`] — the serial/sharded selector threaded through the
-//!   stack (env `A64FX_DES_BACKEND`, `repro --des-backend`);
+//!   stack as an explicit argument (resolved from `A64FX_DES_BACKEND` /
+//!   `repro --des-backend` into the run's `RunConfig` in `a64fx-core`);
 //! * [`ShardPlan`] — a static assignment of simulation entities (ranks)
 //!   to shards, derived from the topology's spatial structure via
 //!   [`Topology::shard_of`];
@@ -55,7 +56,6 @@ use crate::des::EventQueue;
 use crate::topology::Topology;
 use densela::pool::SharedSlice;
 use densela::KernelPool;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which discrete-event engine drives a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,30 +114,6 @@ impl std::fmt::Display for DesBackend {
             DesBackend::Serial => write!(f, "serial"),
             DesBackend::Sharded { shards } => write!(f, "sharded{shards}"),
         }
-    }
-}
-
-/// Process-wide default backend, encoded as a shard count (0 = serial).
-/// Mirrors the trace-cache toggle: `core::runner` resolves the
-/// `A64FX_DES_BACKEND` env var / `--des-backend` flag once at startup and
-/// installs the result here; simulation call sites that take no explicit
-/// backend read it back.
-static DEFAULT_BACKEND: AtomicUsize = AtomicUsize::new(0);
-
-/// Install the process-wide default [`DesBackend`].
-pub fn set_default_backend(backend: DesBackend) {
-    let code = match backend {
-        DesBackend::Serial => 0,
-        DesBackend::Sharded { shards } => shards.max(1),
-    };
-    DEFAULT_BACKEND.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide default [`DesBackend`] (serial unless installed).
-pub fn default_backend() -> DesBackend {
-    match DEFAULT_BACKEND.load(Ordering::Relaxed) {
-        0 => DesBackend::Serial,
-        shards => DesBackend::Sharded { shards },
     }
 }
 
@@ -693,17 +669,6 @@ mod tests {
         assert_eq!(DesBackend::Sharded { shards: 8 }.to_string(), "sharded8");
         assert_eq!(DesBackend::Serial.shards(), 1);
         assert_eq!(DesBackend::Sharded { shards: 3 }.shards(), 3);
-    }
-
-    #[test]
-    fn default_backend_round_trips() {
-        // Serial unless somebody installed something else; restore after.
-        let before = default_backend();
-        set_default_backend(DesBackend::Sharded { shards: 4 });
-        assert_eq!(default_backend(), DesBackend::Sharded { shards: 4 });
-        set_default_backend(DesBackend::Serial);
-        assert_eq!(default_backend(), DesBackend::Serial);
-        set_default_backend(before);
     }
 
     #[test]
