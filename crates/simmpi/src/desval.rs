@@ -56,7 +56,8 @@ pub fn allreduce_recursive_doubling_des(
     let rounds = usize::BITS - (p - 1).leading_zeros();
     let mut clock = vec![0.0f64; p];
     // Peak depth is one in-flight arrival per rank (rounds are drained
-    // before the next is scheduled), so pre-size the heap to match.
+    // before the next is scheduled); size the tie group for a whole round
+    // landing at one time.
     let mut q: EventQueue<Arrival> = EventQueue::with_capacity(p);
 
     // Round 0 sends are scheduled immediately; later rounds are scheduled
@@ -273,101 +274,142 @@ pub fn allreduce_hierarchical_des(net: &mut Network, node_of_rank: &[usize], byt
     reduce_t + inter_t + bcast_t
 }
 
-/// One round of a leader's precomputed pairwise-exchange schedule: an
-/// optional send of `bytes` to `(dst leader, dst round index)` issued on
-/// entering the round, and optionally one expected arrival gating exit.
+/// One round of a leader's pairwise-exchange schedule: an optional send of
+/// `bytes` to `(dst leader, dst round index)` issued on entering the round,
+/// and optionally one expected arrival gating exit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ExchangeRound {
     send: Option<(usize, u32)>,
     bytes: u64,
     expect: bool,
 }
 
-/// Recursive-doubling schedule over `p` leaders: `ceil(log2 p)` rounds, in
-/// round `k` leader `r` exchanges the full payload with `r ^ (1 << k)`.
-/// Leaders whose partner falls beyond `p` (virtual power-of-two padding)
-/// idle through that round, as in [`allreduce_recursive_doubling_des`].
-fn doubling_schedule(p: usize, bytes: u64) -> Vec<Vec<ExchangeRound>> {
-    let rounds = usize::BITS - (p - 1).leading_zeros();
-    (0..p)
-        .map(|rank| {
-            (0..rounds)
-                .map(|k| {
-                    let partner = rank ^ (1usize << k);
-                    if partner < p {
+/// A round with nothing to send and nothing to wait for.
+const IDLE: ExchangeRound = ExchangeRound {
+    send: None,
+    bytes: 0,
+    expect: false,
+};
+
+/// The leader leg's pairwise-exchange schedule, computed per `(leader,
+/// round)` when the engine asks for it instead of being stored: at Fugaku
+/// scale a stored schedule is tens of MiB read once per event.
+#[derive(Debug, Clone, Copy)]
+enum Schedule {
+    /// Recursive doubling over `p` leaders: `ceil(log2 p)` rounds, in round
+    /// `k` leader `r` exchanges the full payload with `r ^ (1 << k)`.
+    /// Leaders whose partner falls beyond `p` (virtual power-of-two
+    /// padding) idle through that round, as in
+    /// [`allreduce_recursive_doubling_des`].
+    Doubling { p: usize, rounds: u32, bytes: u64 },
+    /// Rabenseifner over `p` leaders: recursive-halving reduce-scatter then
+    /// recursive-doubling allgather over the `p2 = 2^steps` lowest leaders
+    /// (the same pairs, same chunk sizes, mirrored). Leader `p2 + i` folds
+    /// into leader `i` in a pre-round and receives the result in a
+    /// post-round, as in [`allreduce_rabenseifner_des`].
+    Rabenseifner {
+        p: usize,
+        p2: usize,
+        steps: u32,
+        bytes: u64,
+    },
+}
+
+impl Schedule {
+    fn doubling(p: usize, bytes: u64) -> Self {
+        let rounds = usize::BITS - (p - 1).leading_zeros();
+        Schedule::Doubling { p, rounds, bytes }
+    }
+
+    fn rabenseifner(p: usize, bytes: u64) -> Self {
+        let steps = usize::BITS - 1 - p.leading_zeros(); // floor(log2 p)
+        Schedule::Rabenseifner {
+            p,
+            p2: 1 << steps,
+            steps,
+            bytes,
+        }
+    }
+
+    /// Number of rounds leader `e` runs.
+    fn rounds(self, e: usize) -> usize {
+        match self {
+            Schedule::Doubling { rounds, .. } => rounds as usize,
+            Schedule::Rabenseifner { p, p2, steps, .. } => {
+                if e >= p2 {
+                    2
+                } else {
+                    // Leaders below `p - p2` add a pre- and a post-round.
+                    2 * steps as usize + 2 * usize::from(e < p - p2)
+                }
+            }
+        }
+    }
+
+    /// Round `r` of leader `e`'s schedule.
+    fn round(self, e: usize, r: usize) -> ExchangeRound {
+        match self {
+            Schedule::Doubling { p, bytes, .. } => {
+                let partner = e ^ (1 << r);
+                if partner < p {
+                    ExchangeRound {
+                        send: Some((partner, r as u32)),
+                        bytes,
+                        expect: true,
+                    }
+                } else {
+                    IDLE
+                }
+            }
+            Schedule::Rabenseifner {
+                p,
+                p2,
+                steps,
+                bytes,
+            } => {
+                let extras = p - p2;
+                if e >= p2 {
+                    // Folded leader: hand off at the start, collect at the end.
+                    return if r == 0 {
                         ExchangeRound {
-                            send: Some((partner, k)),
+                            send: Some((e - p2, 0)),
                             bytes,
-                            expect: true,
+                            expect: false,
                         }
                     } else {
                         ExchangeRound {
-                            send: None,
-                            bytes: 0,
-                            expect: false,
+                            expect: true,
+                            ..IDLE
                         }
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Rabenseifner schedule over `p` leaders: recursive-halving
-/// reduce-scatter then recursive-doubling allgather (the same pairs, same
-/// chunk sizes, mirrored), with leaders beyond the largest power of two
-/// folding into a partner in a pre-round and receiving the result in a
-/// post-round, as in [`allreduce_rabenseifner_des`].
-fn rabenseifner_schedule(p: usize, bytes: u64) -> Vec<Vec<ExchangeRound>> {
-    let steps = usize::BITS - 1 - p.leading_zeros(); // floor(log2 p)
-    let p2 = 1usize << steps;
-    let extras = p - p2;
-    // Leaders below `extras` open with a pre-round arrival slot, shifting
-    // their exchange rounds by one.
-    let offset = |rank: usize| -> u32 { u32::from(rank < extras) };
-    (0..p)
-        .map(|rank| {
-            if rank >= p2 {
-                // Folded leader: hand off at the start, collect at the end.
-                return vec![
-                    ExchangeRound {
-                        send: Some((rank - p2, 0)),
+                    };
+                }
+                // Leaders below `extras` open with the pre-round arrival,
+                // shifting their exchange rounds by one.
+                let shift = usize::from(e < extras);
+                if r < shift {
+                    return ExchangeRound {
+                        expect: true,
+                        ..IDLE
+                    };
+                }
+                let s = (r - shift) as u32;
+                if s == 2 * steps {
+                    return ExchangeRound {
+                        send: Some((p2 + e, 1)),
                         bytes,
                         expect: false,
-                    },
-                    ExchangeRound {
-                        send: None,
-                        bytes: 0,
-                        expect: true,
-                    },
-                ];
-            }
-            let mut rounds = Vec::with_capacity(2 * steps as usize + 2);
-            if rank < extras {
-                rounds.push(ExchangeRound {
-                    send: None,
-                    bytes: 0,
-                    expect: true,
-                });
-            }
-            for s in 0..2 * steps {
+                    };
+                }
                 let h = if s < steps { s } else { 2 * steps - 1 - s };
-                let partner = rank ^ (1usize << h);
-                rounds.push(ExchangeRound {
-                    send: Some((partner, offset(partner) + s)),
+                let partner = e ^ (1 << h);
+                ExchangeRound {
+                    send: Some((partner, u32::from(partner < extras) + s)),
                     bytes: (bytes >> (h + 1)).max(1),
                     expect: true,
-                });
+                }
             }
-            if rank < extras {
-                rounds.push(ExchangeRound {
-                    send: Some((p2 + rank, 1)),
-                    bytes,
-                    expect: false,
-                });
-            }
-            rounds
-        })
-        .collect()
+        }
+    }
 }
 
 /// Message payload of the engine-driven leader allreduce.
@@ -395,21 +437,22 @@ struct LeaderState {
 fn pump_leader<F>(
     ctx: &mut Ctx<'_, LeaderState, LeaderMsg>,
     e: usize,
-    schedule: &[ExchangeRound],
+    schedule: Schedule,
     node_of_leader: &[usize],
     flight: &F,
 ) where
     F: Fn(usize, usize, u64) -> f64,
 {
+    let rounds = schedule.rounds(e);
     loop {
         let (r, clock, sent) = {
             let st = ctx.state(e);
             (st.round, st.clock, st.sent)
         };
-        if r >= schedule.len() {
+        if r >= rounds {
             break;
         }
-        let round = &schedule[r];
+        let round = schedule.round(e, r);
         if !sent {
             ctx.state(e).sent = true;
             if let Some((dst, dst_round)) = round.send {
@@ -475,10 +518,10 @@ pub fn allreduce_des_stats(
         let algo = crate::collectives::select_algorithm(bytes);
         let (schedule, fabric) = match algo {
             crate::collectives::CollectiveAlgorithm::RecursiveDoubling => {
-                (doubling_schedule(nodes.len(), bytes), 1.0)
+                (Schedule::doubling(nodes.len(), bytes), 1.0)
             }
             crate::collectives::CollectiveAlgorithm::Ring => (
-                rabenseifner_schedule(nodes.len(), bytes),
+                Schedule::rabenseifner(nodes.len(), bytes),
                 net.topology().bisection_factor(),
             ),
         };
@@ -498,13 +541,12 @@ pub fn allreduce_des_stats(
         // distinct nodes), so the link latency is a sound lookahead.
         let mut engine: ShardedEventQueue<LeaderMsg> =
             ShardedEventQueue::for_backend(backend, topo, &nodes, link.latency_us);
-        let mut states: Vec<LeaderState> = schedule
-            .iter()
-            .map(|rounds| LeaderState {
+        let mut states: Vec<LeaderState> = (0..nodes.len())
+            .map(|e| LeaderState {
                 clock: 0.0,
                 round: 0,
                 sent: false,
-                arrived: vec![f64::NAN; rounds.len()],
+                arrived: vec![f64::NAN; schedule.rounds(e)],
             })
             .collect();
         for e in 0..nodes.len() {
@@ -518,16 +560,16 @@ pub fn allreduce_des_stats(
         let stats = engine.run(&pool, &mut states, |ctx, t, e, msg| {
             if let LeaderMsg::Arrive(round) = msg {
                 let st = ctx.state(e);
-                debug_assert!(st.arrived[round as usize].is_nan(), "duplicate arrival");
+                assert!(st.arrived[round as usize].is_nan(), "duplicate arrival");
                 st.arrived[round as usize] = t;
             }
-            pump_leader(ctx, e, &schedule[e], &nodes, &flight);
+            pump_leader(ctx, e, schedule, &nodes, &flight);
         });
         let inter = states
             .iter()
             .enumerate()
             .map(|(e, st)| {
-                assert_eq!(st.round, schedule[e].len(), "leader {e} did not finish");
+                assert_eq!(st.round, schedule.rounds(e), "leader {e} did not finish");
                 st.clock
             })
             .fold(0.0, f64::max);
@@ -557,6 +599,134 @@ mod tests {
 
     fn one_rank_per_node(n: usize) -> Vec<usize> {
         (0..n).collect()
+    }
+
+    // The materialised schedules the engine used to store, kept verbatim
+    // as the oracle for `Schedule`.
+
+    /// Recursive-doubling schedule over `p` leaders: `ceil(log2 p)` rounds, in
+    /// round `k` leader `r` exchanges the full payload with `r ^ (1 << k)`.
+    /// Leaders whose partner falls beyond `p` (virtual power-of-two padding)
+    /// idle through that round, as in [`allreduce_recursive_doubling_des`].
+    fn doubling_schedule(p: usize, bytes: u64) -> Vec<Vec<ExchangeRound>> {
+        let rounds = usize::BITS - (p - 1).leading_zeros();
+        (0..p)
+            .map(|rank| {
+                (0..rounds)
+                    .map(|k| {
+                        let partner = rank ^ (1usize << k);
+                        if partner < p {
+                            ExchangeRound {
+                                send: Some((partner, k)),
+                                bytes,
+                                expect: true,
+                            }
+                        } else {
+                            ExchangeRound {
+                                send: None,
+                                bytes: 0,
+                                expect: false,
+                            }
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Rabenseifner schedule over `p` leaders: recursive-halving
+    /// reduce-scatter then recursive-doubling allgather (the same pairs, same
+    /// chunk sizes, mirrored), with leaders beyond the largest power of two
+    /// folding into a partner in a pre-round and receiving the result in a
+    /// post-round, as in [`allreduce_rabenseifner_des`].
+    fn rabenseifner_schedule(p: usize, bytes: u64) -> Vec<Vec<ExchangeRound>> {
+        let steps = usize::BITS - 1 - p.leading_zeros(); // floor(log2 p)
+        let p2 = 1usize << steps;
+        let extras = p - p2;
+        // Leaders below `extras` open with a pre-round arrival slot, shifting
+        // their exchange rounds by one.
+        let offset = |rank: usize| -> u32 { u32::from(rank < extras) };
+        (0..p)
+            .map(|rank| {
+                if rank >= p2 {
+                    // Folded leader: hand off at the start, collect at the end.
+                    return vec![
+                        ExchangeRound {
+                            send: Some((rank - p2, 0)),
+                            bytes,
+                            expect: false,
+                        },
+                        ExchangeRound {
+                            send: None,
+                            bytes: 0,
+                            expect: true,
+                        },
+                    ];
+                }
+                let mut rounds = Vec::with_capacity(2 * steps as usize + 2);
+                if rank < extras {
+                    rounds.push(ExchangeRound {
+                        send: None,
+                        bytes: 0,
+                        expect: true,
+                    });
+                }
+                for s in 0..2 * steps {
+                    let h = if s < steps { s } else { 2 * steps - 1 - s };
+                    let partner = rank ^ (1usize << h);
+                    rounds.push(ExchangeRound {
+                        send: Some((partner, offset(partner) + s)),
+                        bytes: (bytes >> (h + 1)).max(1),
+                        expect: true,
+                    });
+                }
+                if rank < extras {
+                    rounds.push(ExchangeRound {
+                        send: Some((p2 + rank, 1)),
+                        bytes,
+                        expect: false,
+                    });
+                }
+                rounds
+            })
+            .collect()
+    }
+
+    #[test]
+    fn computed_schedules_equal_the_materialised_ones() {
+        let mut sizes: Vec<usize> = (2..=300).collect();
+        for k in 2..=17 {
+            sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        type Builders = (
+            fn(usize, u64) -> Schedule,
+            fn(usize, u64) -> Vec<Vec<ExchangeRound>>,
+        );
+        let algos: [(&str, Builders); 2] = [
+            ("doubling", (Schedule::doubling, doubling_schedule)),
+            (
+                "rabenseifner",
+                (Schedule::rabenseifner, rabenseifner_schedule),
+            ),
+        ];
+        for p in sizes {
+            for bytes in [8u64, 3 << 20] {
+                // One oracle at a time: at 2^17 + 1 leaders it is ~140 MiB.
+                for (name, (compute, materialise)) in algos {
+                    let computed = compute(p, bytes);
+                    for (e, rounds) in materialise(p, bytes).iter().enumerate() {
+                        assert_eq!(computed.rounds(e), rounds.len(), "{name} p={p} e={e}");
+                        for (r, want) in rounds.iter().enumerate() {
+                            assert_eq!(
+                                computed.round(e, r),
+                                *want,
+                                "{name} p={p} bytes={bytes} e={e} r={r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
